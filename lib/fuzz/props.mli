@@ -57,10 +57,11 @@ val incremental_cost : max_qubits:int -> max_gates:int -> prop
     step (1e-9 relative). *)
 
 val artifact_roundtrip : max_qubits:int -> max_gates:int -> prop
-(** [artifact-roundtrip]: for every pipeline stage on a real run,
-    [encode (decode input (encode out))] reproduces the exact canonical
-    bytes (and FNV-64 content hash), and {!Tqec_artifact.Stage.cache_key}
-    is stable. *)
+(** [artifact-roundtrip]: for every pipeline stage on a real run, the
+    canonical bytes of [encode out] parse and render back to themselves
+    ([Json.to_string (Json.of_string s) = s]), decoding the parsed tree and
+    encoding it again reproduces them (and their FNV-64 content hash), and
+    {!Tqec_artifact.Stage.cache_key} is stable. *)
 
 val cache_warm_identity : max_qubits:int -> max_gates:int -> prop
 (** [cache-warm-bit-identity]: a cold cached run followed by a warm run from

@@ -1,5 +1,4 @@
 module Json = Tqec_obs.Json
-module Pool = Tqec_prelude.Pool
 module Stopwatch = Tqec_prelude.Stopwatch
 open Parsetree
 
@@ -638,18 +637,10 @@ let scan_file ?(foreign = false) ?(keep = keep_all) path =
       emit st pseudo_parse Location.none msg;
       st
 
-(* Per-file scans are independent, so stage 5 fans them out over the
-   Taskpool: task [i] scans file [i] and the results come back in slot
-   order, which keeps the merged report identical to the serial one. The
-   sequential path covers nested use (linting from inside a pool task) and
-   the degenerate sizes where pool setup outweighs the parse. *)
-let scan_files ?(keep = keep_all) paths =
-  let arr = Array.of_list paths in
-  if Pool.in_worker () || Array.length arr < 2 then
-    List.map (fun p -> scan_file ~keep p) paths
-  else
-    Array.to_list
-      (Pool.parallel_map (Pool.global ()) (fun p -> scan_file ~keep p) arr)
+(* One file after another: the compiler-libs lexer and parser keep global
+   state (comment and string buffers, the current lexbuf), so parses on
+   different domains race and fail at random. *)
+let scan_files ?(keep = keep_all) paths = List.map (fun p -> scan_file ~keep p) paths
 
 let finalize_scans ?(wall_s = 0.) scans =
   let findings = ref [] and suppressed = ref [] and files = ref 0 in

@@ -104,10 +104,8 @@ val scan_file : ?foreign:bool -> ?keep:(string -> bool) -> string -> scan
     [parse-error] finding rather than an exception. *)
 
 val scan_files : ?keep:(string -> bool) -> string list -> scan list
-(** Scan each path, fanning the per-file work out over the Taskpool
-    ([Pool.global ()]) with ordered result slots; falls back to a serial
-    map inside a pool task or for trivial inputs. Result order = input
-    order either way. *)
+(** Scan each path in order, one at a time: the compiler-libs parser is
+    not safe to run on several domains at once. *)
 
 val scan_path : scan -> string
 
@@ -133,8 +131,8 @@ val lint_source : file:string -> string -> report
 (** [finalize_scans [scan_source ~file src]] — the syntactic tier only. *)
 
 val lint_files : ?keep:(string -> bool) -> string list -> report
-(** Read and lint each path in parallel (syntactic tier only), merging
-    per-file reports and recording wall-clock. *)
+(** Read and lint each path (syntactic tier only), merging per-file
+    reports and recording wall-clock. *)
 
 val merge : report list -> report
 

@@ -1,112 +1,101 @@
 (* FIPS 180-4 SHA-256 and 64-bit FNV-1a, in plain OCaml.
 
-   The implementation favors clarity over throughput: cache keys hash
-   canonical JSON encodings of pipeline artifacts, whose sizes are tiny next
-   to the stage computations they stand in for. All arithmetic is on int32 /
-   int64 so results are identical on every word size. *)
+   Cache keys hash canonical JSON encodings of pipeline artifacts, which on
+   a warm cache hit is a noticeable share of the work, so the SHA-256 block
+   function allocates nothing: its words live in native ints masked to 32
+   bits (a load-time check rejects platforms whose ints are not wider), the
+   round state is threaded through a tail-recursive call instead of boxed
+   [int32] cells, and the schedule is an [int array] scratch. FNV-1a works
+   on int64 so its results are identical on every word size. *)
 
 module Sha256 = struct
   let k =
-    [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-       0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-       0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-       0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-       0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-       0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-       0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-       0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-       0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-       0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-       0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-       0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-       0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+       0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+       0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+       0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+       0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+       0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+       0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+       0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+       0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+       0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+       0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+       0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+       0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
   type t = {
-    h : int32 array;       (* running digest, 8 words *)
+    h : int array;         (* running digest, 8 words of 32 bits *)
     block : Bytes.t;       (* 64-byte input block being filled *)
     mutable used : int;    (* bytes of [block] in use *)
     mutable length : int;  (* total bytes absorbed *)
-    w : int32 array;       (* 64-word message schedule scratch *)
+    w : int array;         (* 64-word message schedule scratch *)
   }
 
   let create () =
     { h =
-        [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-           0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+        [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+           0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
       block = Bytes.create 64;
       used = 0;
       length = 0;
-      w = Array.make 64 0l }
+      w = Array.make 64 0 }
 
   let copy t =
     { h = Array.copy t.h;
       block = Bytes.copy t.block;
       used = t.used;
       length = t.length;
-      w = Array.make 64 0l }
+      w = Array.make 64 0 }
 
-  let rotr x n =
-    Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+  let mask = 0xffffffff
 
-  let[@tqec.hot] [@tqec.allow
-       "hot-path-alloc: the Int32 schedule and round state box in principle \
-        but the compiler unboxes the int32 locals and ref cells here; a \
-        rewrite to untagged int arithmetic would change the digest"] process
-      t =
-    let w = t.w in
+  (* Words are held in native ints, which must be wider than 32 bits. *)
+  let () = assert (Sys.int_size > 32)
+
+  (* Rotate a 32-bit word (held in the low bits of an int) right by [n].
+     The bits above 32 are garbage; every value stored back is masked. *)
+  let rotr x n = (x lsr n) lor (x lsl (32 - n))
+
+  (* The 64 compression rounds, the working variables a..h as arguments;
+     the last round adds them into the digest. [i < 64], the length of
+     both [k] and [t.w]. *)
+  let rec rounds t i a b c d e f g h =
+    if i = 64 then begin
+      let hs = t.h in
+      hs.(0) <- (hs.(0) + a) land mask;
+      hs.(1) <- (hs.(1) + b) land mask;
+      hs.(2) <- (hs.(2) + c) land mask;
+      hs.(3) <- (hs.(3) + d) land mask;
+      hs.(4) <- (hs.(4) + e) land mask;
+      hs.(5) <- (hs.(5) + f) land mask;
+      hs.(6) <- (hs.(6) + g) land mask;
+      hs.(7) <- (hs.(7) + h) land mask
+    end
+    else begin
+      let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+      let ch = (e land f) lxor (lnot e land g) in
+      let t1 = h + s1 + ch + Array.unsafe_get k i + Array.unsafe_get t.w i in
+      let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+      let maj = (a land b) lxor (a land c) lxor (b land c) in
+      rounds t (i + 1) ((t1 + s0 + maj) land mask) a b c ((d + t1) land mask) e f g
+    end
+
+  let[@tqec.hot] process t =
+    let w = t.w and block = t.block in
     for i = 0 to 15 do
-      w.(i) <- Bytes.get_int32_be t.block (i * 4)
+      w.(i) <-
+        (Bytes.get_uint16_be block (i * 4) lsl 16)
+        lor Bytes.get_uint16_be block ((i * 4) + 2)
     done;
     for i = 16 to 63 do
       let x = w.(i - 15) and y = w.(i - 2) in
-      let s0 =
-        Int32.logxor (Int32.logxor (rotr x 7) (rotr x 18))
-          (Int32.shift_right_logical x 3)
-      and s1 =
-        Int32.logxor (Int32.logxor (rotr y 17) (rotr y 19))
-          (Int32.shift_right_logical y 10)
-      in
-      w.(i) <- Int32.add (Int32.add w.(i - 16) s0) (Int32.add w.(i - 7) s1)
+      let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3)
+      and s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
     done;
-    let a = ref t.h.(0) and b = ref t.h.(1) and c = ref t.h.(2)
-    and d = ref t.h.(3) and e = ref t.h.(4) and f = ref t.h.(5)
-    and g = ref t.h.(6) and h = ref t.h.(7) in
-    for i = 0 to 63 do
-      let s1 =
-        Int32.logxor (Int32.logxor (rotr !e 6) (rotr !e 11)) (rotr !e 25)
-      in
-      let ch =
-        Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g)
-      in
-      let t1 =
-        Int32.add (Int32.add (Int32.add !h s1) (Int32.add ch k.(i))) w.(i)
-      in
-      let s0 =
-        Int32.logxor (Int32.logxor (rotr !a 2) (rotr !a 13)) (rotr !a 22)
-      in
-      let maj =
-        Int32.logxor
-          (Int32.logxor (Int32.logand !a !b) (Int32.logand !a !c))
-          (Int32.logand !b !c)
-      in
-      let t2 = Int32.add s0 maj in
-      h := !g;
-      g := !f;
-      f := !e;
-      e := Int32.add !d t1;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := Int32.add t1 t2
-    done;
-    t.h.(0) <- Int32.add t.h.(0) !a;
-    t.h.(1) <- Int32.add t.h.(1) !b;
-    t.h.(2) <- Int32.add t.h.(2) !c;
-    t.h.(3) <- Int32.add t.h.(3) !d;
-    t.h.(4) <- Int32.add t.h.(4) !e;
-    t.h.(5) <- Int32.add t.h.(5) !f;
-    t.h.(6) <- Int32.add t.h.(6) !g;
-    t.h.(7) <- Int32.add t.h.(7) !h
+    let hs = t.h in
+    rounds t 0 hs.(0) hs.(1) hs.(2) hs.(3) hs.(4) hs.(5) hs.(6) hs.(7)
 
   let add_string t s =
     let len = String.length s in
@@ -138,7 +127,7 @@ module Sha256 = struct
     Bytes.set_int64_be t.block 56 bit_len;
     process t;
     let buf = Buffer.create 64 in
-    Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf "%08lx" w)) t.h;
+    Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf "%08x" w)) t.h;
     Buffer.contents buf
 end
 

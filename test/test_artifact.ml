@@ -201,6 +201,141 @@ let test_cache_key_properties () =
   Alcotest.(check bool) "input-sensitive" true
     (not (String.equal k1 (Stage.cache_key (module Flow.Preprocess) renamed)))
 
+(* The four stage cache keys of [fig4_circuit] under [fast_options], and
+   the SHA-256 of each artifact's stored bytes. Every codec, hash or key
+   rewrite must keep them: a different key silently orphans every existing
+   cache directory, different bytes mean a changed canonical form. *)
+let pinned_keys =
+  [ ( "preprocess",
+      "f1e02623e7cf2fbd1fac599287adfed2a969a2fd734dd33f62e00e2f6ba78451",
+      "24ab3767a77630191bf4242fad3f060668d8ae798147d3fcb11eb4179f7408eb" );
+    ( "bridging",
+      "415405b16697cb36c0355de6cc396e1647b94947864eb2b7cac36410c113fde9",
+      "a8c876f26fb04ffaf4ee53afbab3d086cffe404dde44a1e69ad33ca6d02869a7" );
+    ( "placement",
+      "82a3302c46a0bbc3d2d850ca84a1236a962b75f89d0feea19c833bd7038cff52",
+      "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
+    ( "routing",
+      "0a7daea186b501fa54aef8d26b9a952d30ad71690071726268b21dc666310035",
+      "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let write_file path bytes =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc bytes)
+
+let entry_path dir ~stage ~key =
+  Filename.concat (Filename.concat dir stage) (key ^ ".json")
+
+let test_pinned_keys_and_bytes () =
+  let dir = temp_dir () in
+  let c = fig4_circuit () in
+  let f = Flow.run ~options:fast_options ~cache:(Store.create ~dir ()) c in
+  let o = fast_options in
+  let keys =
+    [ Stage.cache_key (module Flow.Preprocess) c;
+      Stage.cache_key (module Flow.Bridging)
+        { Flow.Bridging.bridging = o.Flow.bridging; modular = f.Flow.modular };
+      Stage.cache_key (module Flow.Placement)
+        { Flow.Placement.primal_groups = o.Flow.primal_groups;
+          max_group_size = o.Flow.max_group_size;
+          config = o.Flow.place;
+          modular = f.Flow.modular;
+          nets = f.Flow.nets;
+          pool = None };
+      Stage.cache_key (module Flow.Routing)
+        { Flow.Routing.config =
+            { o.Flow.route with
+              Tqec_route.Router.friend_aware = o.Flow.friend_aware && o.Flow.bridging };
+          placement = f.Flow.placement;
+          nets = f.Flow.nets;
+          pool = None } ]
+  in
+  List.iter2
+    (fun (stage, key, digest) computed ->
+      Alcotest.(check string) (stage ^ " key") key computed;
+      Alcotest.(check (array string)) (stage ^ " is the only entry")
+        [| key ^ ".json" |]
+        (Sys.readdir (Filename.concat dir stage));
+      Alcotest.(check string) (stage ^ " stored bytes") digest
+        (Tqec_prelude.Hash.sha256_hex (read_file (entry_path dir ~stage ~key))))
+    pinned_keys keys
+
+(* ------------------------------------------------------------------ *)
+(* Hostile stored entries                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Flip byte [i] of [s] to a different byte drawn from [rng]. *)
+let flip rng s i =
+  let b = Bytes.of_string s in
+  let c = Char.code (Bytes.get b i) in
+  Bytes.set b i (Char.chr ((c + 1 + Tqec_prelude.Rng.int rng 255) land 0xff));
+  Bytes.to_string b
+
+(* Every truncated prefix and 400 single-byte flips of every stored artifact
+   of a real run parse to [Ok] or [Error]; the parser never raises. *)
+let test_hostile_bytes_never_raise () =
+  let dir = temp_dir () in
+  ignore (Flow.run ~options:fast_options ~cache:(Store.create ~dir ()) (fig4_circuit ()));
+  let rng = Tqec_prelude.Rng.create 11 in
+  List.iter
+    (fun (stage, key, _) ->
+      let bytes = read_file (entry_path dir ~stage ~key) in
+      let n = String.length bytes in
+      let survives input =
+        match Json.of_string input with Ok _ | Error _ -> true | exception _ -> false
+      in
+      for len = 0 to n - 1 do
+        if not (survives (String.sub bytes 0 len)) then
+          Alcotest.failf "%s: prefix of %d bytes raised" stage len
+      done;
+      for _ = 1 to 400 do
+        let i = Tqec_prelude.Rng.int rng n in
+        if not (survives (flip rng bytes i)) then
+          Alcotest.failf "%s: flip at byte %d raised" stage i
+      done)
+    pinned_keys
+
+(* A stored entry cut short or flipped into malformed JSON is a cache miss
+   for its stage only: the run recomputes it, hits the other three, and
+   returns exactly the cold result. (A flip that leaves well-formed JSON,
+   such as one digit for another, can decode to a different artifact: the
+   store keeps no checksum of its bytes.) *)
+let test_hostile_entry_is_a_miss () =
+  let dir = temp_dir () in
+  let c = fig4_circuit () in
+  let cold = Flow.run ~options:fast_options ~cache:(Store.create ~dir ()) c in
+  let rng = Tqec_prelude.Rng.create 5 in
+  List.iter
+    (fun (stage, key, _) ->
+      let path = entry_path dir ~stage ~key in
+      let bytes = read_file path in
+      let n = String.length bytes in
+      let rec malformed_flip () =
+        let s = flip rng bytes (Tqec_prelude.Rng.int rng n) in
+        match Json.of_string s with Error _ -> s | Ok _ -> malformed_flip ()
+      in
+      List.iter
+        (fun (label, corrupt) ->
+          write_file path corrupt;
+          let run = Flow.run ~options:fast_options ~cache:(Store.create ~dir ()) c in
+          check_stats (Printf.sprintf "%s %s: one miss" stage label) (3, 1, 1) run;
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: cold result" stage label)
+            (flow_fingerprint cold) (flow_fingerprint run);
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: entry rewritten" stage label)
+            bytes (read_file path))
+        [ ("empty", "");
+          ("half", String.sub bytes 0 (n / 2));
+          ("last byte cut", String.sub bytes 0 (n - 1));
+          ("malformed flip", malformed_flip ()) ])
+    pinned_keys
+
 let test_metrics_cache_block () =
   let store = Store.create () in
   let c = fig4_circuit () in
@@ -274,6 +409,12 @@ let suites =
         Alcotest.test_case "flow: corrupt entry recovery" `Quick
           test_corrupt_entry_recovery;
         Alcotest.test_case "stage: cache key" `Quick test_cache_key_properties;
+        Alcotest.test_case "stage: pinned keys and bytes" `Quick
+          test_pinned_keys_and_bytes;
+        Alcotest.test_case "hostile: bytes never raise" `Quick
+          test_hostile_bytes_never_raise;
+        Alcotest.test_case "hostile: corrupt entry is a miss" `Quick
+          test_hostile_entry_is_a_miss;
         Alcotest.test_case "metrics: cache block" `Quick test_metrics_cache_block;
         Alcotest.test_case "validate: stage prefixes" `Quick
           test_validate_stage_prefix ] ) ]

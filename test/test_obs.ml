@@ -262,6 +262,75 @@ let test_json_trailing_garbage () =
             (String.length e >= 8 && String.sub e 0 8 = "trailing"))
     [ "{} []"; "1,"; "null null"; "[1] x" ]
 
+(* Results pinned from the original character-at-a-time parser, so a
+   faster rewrite cannot drift on the spellings real artifacts never use:
+   the general number path (19 digits, overflow, a sign alone, '+', an
+   exponent out of float range, leading zeros), raw UTF-8 and a cut-off
+   literal. Offsets assume 63-bit ints. *)
+let test_json_edge_inputs () =
+  let show = function
+    | Ok (Json.Int i) -> Printf.sprintf "Int %d" i
+    | Ok (Json.Float f) -> Printf.sprintf "Float %h" f
+    | Ok (Json.String s) -> Printf.sprintf "String %S" s
+    | Ok v -> "Ok " ^ Json.to_string v
+    | Error e -> "Error " ^ e
+  in
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) input expected (show (Json.of_string input)))
+    [ ("1234567890123456789", "Int 1234567890123456789");
+      ("9999999999999999999", {|Error at offset 19: invalid number "9999999999999999999"|});
+      ("-4611686018427387904", "Int -4611686018427387904");
+      ("-", {|Error at offset 1: invalid number "-"|});
+      ("+5", "Int 5");
+      ("1e400", "Float infinity");
+      ("007", "Int 7");
+      ("\"\xc3\xa9\"", "String \"\\195\\169\"");
+      ("tru", "Error at offset 0: invalid literal (expected true)");
+      ("[1,2,]", {|Error at offset 5: invalid number ""|}) ]
+
+(* Rendered bytes pinned from the original printer, compact and pretty:
+   integer extremes, escapes, raw UTF-8, floats and empty containers. *)
+let test_json_rendered_bytes () =
+  let v =
+    Json.Obj
+      [ ("ints", Json.List [ Json.Int 0; Json.Int (-7); Json.Int max_int; Json.Int min_int ]);
+        ("s", Json.String "tab\there \"q\" \001 \xc3\xa9");
+        ("f", Json.List [ Json.Float 0.5; Json.Float 1e300; Json.Float nan; Json.Float (-0.0) ]);
+        ( "nest",
+          Json.Obj
+            [ ("e", Json.List []); ("o", Json.Obj []); ("b", Json.Bool true); ("n", Json.Null) ] ) ]
+  in
+  Alcotest.(check string) "compact"
+    ({|{"ints":[0,-7,4611686018427387903,-4611686018427387904],|}
+     ^ {|"s":"tab\there \"q\" \u0001 é",|}
+     ^ {|"f":[0.5,1e+300,null,-0.0],"nest":{"e":[],"o":{},"b":true,"n":null}}|})
+    (Json.to_string v);
+  Alcotest.(check string) "pretty"
+    (String.concat "\n"
+       [ {|{|};
+         {|  "ints": [|};
+         {|    0,|};
+         {|    -7,|};
+         {|    4611686018427387903,|};
+         {|    -4611686018427387904|};
+         {|  ],|};
+         {|  "s": "tab\there \"q\" \u0001 é",|};
+         {|  "f": [|};
+         {|    0.5,|};
+         {|    1e+300,|};
+         {|    null,|};
+         {|    -0.0|};
+         {|  ],|};
+         {|  "nest": {|};
+         {|    "e": [],|};
+         {|    "o": {},|};
+         {|    "b": true,|};
+         {|    "n": null|};
+         {|  }|};
+         {|}|} ])
+    (Json.to_string ~pretty:true v)
+
 (* Round-trip as a property under the in-repo framework: any value built
    from finite floats survives render → parse. *)
 let test_json_round_trip_property () =
@@ -345,5 +414,7 @@ let suites =
         Alcotest.test_case "nested empty containers" `Quick test_json_nested_empty;
         Alcotest.test_case "exponent floats" `Quick test_json_exponent_floats;
         Alcotest.test_case "trailing garbage" `Quick test_json_trailing_garbage;
+        Alcotest.test_case "edge inputs pinned" `Quick test_json_edge_inputs;
+        Alcotest.test_case "rendered bytes pinned" `Quick test_json_rendered_bytes;
         Alcotest.test_case "round-trip property" `Quick test_json_round_trip_property;
         Alcotest.test_case "trace json" `Quick test_trace_json_round_trips ] ) ]
