@@ -9,10 +9,12 @@ test:
 	dune runtest
 
 # Full gate, staged: build -> tests (incl. a CLI smoke run that must produce
-# a parseable metrics file) -> the same tier-1 suite again under a multi-domain
-# pool (TQEC_DOMAINS=2; results must be identical by the Taskpool determinism
-# contract) -> the route/prelude suites once more under the Binheap reference
-# search kernel (TQEC_ROUTE_REFERENCE=1; both kernels must stay green) ->
+# a parseable metrics file, and one with TQEC_SA_CHECK=1, which audits the
+# annealer's incremental cost against a full recompute on every move) ->
+# the same tier-1 suite again under a multi-domain pool (TQEC_DOMAINS=2;
+# results must be identical by the Taskpool determinism contract) -> the
+# route/prelude suites once more under the Binheap reference search kernel
+# (TQEC_ROUTE_REFERENCE=1; both kernels must stay green) ->
 # determinism/hot-path lint -> fixed-seed differential fuzzing ->
 # perf/volume/expansion regression gate -> stage-cache contract
 # (cold/warm/reroute).
@@ -24,6 +26,7 @@ check:
 	dune exec bin/tqec_compress.exe -- --benchmark 4gt10-v1_81 \
 	  --trace --metrics-json _build/metrics_smoke.json
 	dune exec bin/tqec_metrics_check.exe -- _build/metrics_smoke.json
+	TQEC_SA_CHECK=1 dune exec bin/tqec_compress.exe -- -b 4gt10-v1_81
 	@echo "==== check [3/8] tests (TQEC_DOMAINS=2) ==========================="
 	TQEC_DOMAINS=2 dune runtest --force
 	@echo "==== check [4/8] tests (TQEC_ROUTE_REFERENCE=1) ==================="

@@ -15,6 +15,11 @@ type t = {
      it until one of them mutates and drops its reference (the dirty bit
      is [cache = None]). *)
   mutable cache : (int * packing) option;
+  (* Per-tree [repack] scratch, never shared between trees: the contour
+     (grown to the widest packing seen) and the DFS stack of (node, x)
+     pairs — each node is pushed at most once, so 2n ints suffice. *)
+  mutable contour : int array;
+  stack : int array;
 }
 
 let num_blocks t = Array.length t.node_block
@@ -30,7 +35,9 @@ let create dims =
       left = Array.make n (-1);
       right = Array.make n (-1);
       root = 0;
-      cache = None }
+      cache = None;
+      contour = [||];
+      stack = Array.make (2 * n) 0 }
   in
   (* Heap-shaped initial tree: children of node i are 2i+1 and 2i+2. *)
   for i = 0 to n - 1 do
@@ -54,7 +61,25 @@ let copy t =
     left = Array.copy t.left;
     right = Array.copy t.right;
     root = t.root;
-    cache = t.cache }
+    cache = t.cache;
+    contour = [||];
+    stack = Array.make (Array.length t.stack) 0 }
+
+let blit ~src ~dst =
+  if num_blocks src <> num_blocks dst then invalid_arg "Bstar.blit: size mismatch";
+  let n = num_blocks src in
+  Array.blit src.dims 0 dst.dims 0 n;
+  Array.blit src.node_block 0 dst.node_block 0 n;
+  Array.blit src.block_node 0 dst.block_node 0 n;
+  Array.blit src.parent 0 dst.parent 0 n;
+  Array.blit src.left 0 dst.left 0 n;
+  Array.blit src.right 0 dst.right 0 n;
+  dst.root <- src.root;
+  dst.cache <- src.cache
+
+let equal a b =
+  a.dims = b.dims && a.node_block = b.node_block && a.block_node = b.block_node
+  && a.parent = b.parent && a.left = b.left && a.right = b.right && a.root = b.root
 
 let block_dims t b = t.dims.(b)
 
@@ -68,33 +93,48 @@ let repack ?(spacing = 1) t =
   let n = num_blocks t in
   let xs = Array.make n 0 and ys = Array.make n 0 in
   (* Contour over x columns; total width bounds the needed columns. *)
-  let total_w =
-    Array.fold_left (fun acc (dx, _) -> acc + dx + spacing) 0 t.dims
-  in
-  let contour = Array.make (max 1 total_w) 0 in
+  let total_w = ref 0 in
+  for b = 0 to n - 1 do
+    total_w := !total_w + fst t.dims.(b) + spacing
+  done;
+  let ncols = max 1 !total_w in
+  if Array.length t.contour < ncols then t.contour <- Array.make ncols 0
+  else Array.fill t.contour 0 ncols 0;
+  let contour = t.contour and last_col = ncols - 1 in
   let span_x = ref 0 and span_y = ref 0 in
-  (* Preorder DFS with explicit stack; each frame carries the x origin. *)
-  let stack = Stack.create () in
-  Stack.push (t.root, 0) stack;
-  while not (Stack.is_empty stack) do
-    let node, x = Stack.pop stack in
+  (* Preorder DFS; each frame carries the x origin. *)
+  let stack = t.stack in
+  stack.(0) <- t.root;
+  stack.(1) <- 0;
+  let sp = ref 2 in
+  while !sp > 0 do
+    sp := !sp - 2;
+    let node = stack.(!sp) and x = stack.(!sp + 1) in
     let b = t.node_block.(node) in
     let dx, dy = t.dims.(b) in
     let dx' = dx + spacing and dy' = dy + spacing in
     let y = ref 0 in
-    for c = x to min (x + dx' - 1) (Array.length contour - 1) do
+    for c = x to min (x + dx' - 1) last_col do
       if contour.(c) > !y then y := contour.(c)
     done;
     let y = !y in
-    for c = x to min (x + dx' - 1) (Array.length contour - 1) do
+    for c = x to min (x + dx' - 1) last_col do
       contour.(c) <- y + dy'
     done;
     xs.(b) <- x;
     ys.(b) <- y;
     if x + dx > !span_x then span_x := x + dx;
     if y + dy > !span_y then span_y := y + dy;
-    if t.right.(node) >= 0 then Stack.push (t.right.(node), x) stack;
-    if t.left.(node) >= 0 then Stack.push (t.left.(node), x + dx') stack
+    if t.right.(node) >= 0 then begin
+      stack.(!sp) <- t.right.(node);
+      stack.(!sp + 1) <- x;
+      sp := !sp + 2
+    end;
+    if t.left.(node) >= 0 then begin
+      stack.(!sp) <- t.left.(node);
+      stack.(!sp + 1) <- x + dx';
+      sp := !sp + 2
+    end
   done;
   { xs; ys; span_x = !span_x; span_y = !span_y }
 

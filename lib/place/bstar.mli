@@ -22,6 +22,17 @@ val num_blocks : t -> int
 
 val copy : t -> t
 
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] makes [dst] the same tree as [src] (dims, shape and
+    cached packing) without allocating; [dst] keeps its own {!repack}
+    scratch. Both must hold the same number of blocks, else
+    [Invalid_argument]. Lets the annealer checkpoint a tier into a spare
+    tree before mutating it. *)
+
+val equal : t -> t -> bool
+(** Same block dims and same tree shape; the cached packing and scratch are
+    not compared. *)
+
 val block_dims : t -> int -> int * int
 
 val set_block_dims : t -> int -> int * int -> unit
@@ -50,7 +61,9 @@ val pack : ?spacing:int -> t -> packing
 val repack : ?spacing:int -> t -> packing
 (** Like {!pack} but always re-evaluates from scratch, bypassing (and not
     refreshing) the cache. Reference implementation for the cache-coherence
-    property tests and the [TQEC_SA_CHECK] debug assertion. *)
+    property tests and the [TQEC_SA_CHECK] debug assertion. Only the
+    returned [xs]/[ys] are allocated: the contour and DFS stack are scratch
+    kept inside the tree. *)
 
 val swap_blocks : t -> int -> int -> unit
 (** Exchange the tree positions of two blocks (inter- or intra-tree swap at

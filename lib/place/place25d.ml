@@ -50,20 +50,9 @@ type placement = {
 type state = {
   trees : Bstar.t array;
   slot_cluster : int array array;   (* tier -> block idx -> cluster id *)
-  cluster_slot : (int * int) array; (* cluster id -> (tier, block idx) *)
+  cluster_tier : int array;         (* cluster id -> tier *)
+  cluster_idx : int array;          (* cluster id -> block idx in its tier *)
 }
-
-(* Copy-on-write: trees are shared between states and cloned lazily by
-   [own_tree] just before mutation, so a perturbation pays for the one or two
-   tiers it touches instead of the whole floorplan. *)
-let copy_state s =
-  { trees = Array.copy s.trees;
-    slot_cluster = Array.map Array.copy s.slot_cluster;
-    cluster_slot = Array.copy s.cluster_slot }
-
-let own_tree s t =
-  s.trees.(t) <- Bstar.copy s.trees.(t);
-  s.trees.(t)
 
 let cluster_dxdy (c : Cluster.cluster) =
   let d, w, _ = c.Cluster.cdims in
@@ -87,21 +76,29 @@ let initial_state cl ~ntiers =
       tier_area.(!best) <- tier_area.(!best) + area c;
       tier_members.(!best) <- c :: tier_members.(!best))
     order;
-  let cluster_slot = Array.make n (-1, -1) in
-  let trees =
+  let cluster_tier = Array.make n (-1) and cluster_idx = Array.make n (-1) in
+  let slot_cluster =
     Array.mapi
       (fun t members ->
-        let members = Array.of_list (List.rev members) in
         (* A tier must have at least one block for the B*-tree; steal from a
            neighbour is avoided by choosing ntiers <= n upstream. *)
-        let dims = Array.map (fun c -> cluster_dxdy cl.Cluster.clusters.(c)) members in
-        Array.iteri (fun idx c -> cluster_slot.(c) <- (t, idx)) members;
-        (members, Bstar.create dims))
+        let members = Array.of_list (List.rev members) in
+        Array.iteri
+          (fun idx c ->
+            cluster_tier.(c) <- t;
+            cluster_idx.(c) <- idx)
+          members;
+        members)
       tier_members
   in
-  { trees = Array.map snd trees;
-    slot_cluster = Array.map fst trees;
-    cluster_slot }
+  { trees =
+      Array.map
+        (fun members ->
+          Bstar.create (Array.map (fun c -> cluster_dxdy cl.Cluster.clusters.(c)) members))
+        slot_cluster;
+    slot_cluster;
+    cluster_tier;
+    cluster_idx }
 
 let pack_all s ~spacing = Array.map (fun tree -> Bstar.pack ~spacing tree) s.trees
 
@@ -112,90 +109,10 @@ let pack_all s ~spacing = Array.map (fun tree -> Bstar.pack ~spacing tree) s.tre
 let tier_z ~z_gap t = t * (2 + z_gap)
 
 let cluster_positions cl s packs ~z_gap =
-  let pos = Array.make (Cluster.num_clusters cl) Point3.zero in
-  Array.iteri
-    (fun c (t, idx) ->
+  Array.init (Cluster.num_clusters cl) (fun c ->
+      let t = s.cluster_tier.(c) and idx = s.cluster_idx.(c) in
       let p : Bstar.packing = packs.(t) in
-      pos.(c) <- Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z ~z_gap t))
-    s.cluster_slot;
-  pos
-
-(* Reallocate each TSL's (equal-sized) super-modules onto the x-sorted slot
-   positions so measurement ordering holds after any perturbation. *)
-let enforce_tsl cl s packs =
-  Array.iter
-    (fun tsl_clusters ->
-      match tsl_clusters with
-      | [] | [ _ ] -> ()
-      | ids ->
-          let slots = List.map (fun c -> s.cluster_slot.(c)) ids in
-          let keyed =
-            List.map
-              (fun ((t, idx) as slot) ->
-                let p : Bstar.packing = packs.(t) in
-                ((p.Bstar.xs.(idx), t, p.Bstar.ys.(idx)), slot))
-              slots
-          in
-          (* Explicit comparator, identical order to the polymorphic compare
-             it replaces: key triple first, then the slot as tie-breaker. *)
-          let cmp ((x1, t1, y1), (s1, i1)) ((x2, t2, y2), (s2, i2)) =
-            let c = Int.compare x1 x2 in
-            if c <> 0 then c
-            else
-              let c = Int.compare t1 t2 in
-              if c <> 0 then c
-              else
-                let c = Int.compare y1 y2 in
-                if c <> 0 then c
-                else
-                  let c = Int.compare s1 s2 in
-                  if c <> 0 then c else Int.compare i1 i2
-          in
-          let sorted = List.sort cmp keyed |> List.map snd in
-          List.iter2
-            (fun c ((t, idx) as slot) ->
-              s.cluster_slot.(c) <- slot;
-              s.slot_cluster.(t).(idx) <- c)
-            ids sorted)
-    cl.Cluster.tsl
-
-let perturb_state cl rng s =
-  let ntiers = Array.length s.trees in
-  let random_tier () = Rng.int rng ntiers in
-  let op = Rng.int rng 3 in
-  match op with
-  | 0 ->
-      (* Intra-tier swap: the two clusters trade tree nodes, i.e. places in
-         the tier's floorplan; the slot->cluster map is untouched because
-         blocks are identified with tier-local slot indices. *)
-      let t = random_tier () in
-      if Bstar.num_blocks s.trees.(t) >= 2 then begin
-        let tree = own_tree s t in
-        let b1 = Bstar.random_block rng tree and b2 = Bstar.random_block rng tree in
-        if b1 <> b2 then Bstar.swap_blocks tree b1 b2
-      end
-  | 1 ->
-      (* intra-tier move *)
-      let t = random_tier () in
-      if Bstar.num_blocks s.trees.(t) >= 2 then begin
-        let tree = own_tree s t in
-        Bstar.move_block ~rng tree (Bstar.random_block rng tree)
-      end
-  | _ ->
-      (* inter-tier swap: exchange the clusters of two slots. *)
-      let t1 = random_tier () and t2 = random_tier () in
-      if t1 <> t2 then begin
-        let tree1 = own_tree s t1 and tree2 = own_tree s t2 in
-        let i1 = Bstar.random_block rng tree1 in
-        let i2 = Bstar.random_block rng tree2 in
-        let c1 = s.slot_cluster.(t1).(i1) and c2 = s.slot_cluster.(t2).(i2) in
-        s.slot_cluster.(t1).(i1) <- c2;
-        s.slot_cluster.(t2).(i2) <- c1;
-        s.cluster_slot.(c1) <- (t2, i2);
-        s.cluster_slot.(c2) <- (t1, i1);
-        Bstar.set_block_dims tree1 i1 (cluster_dxdy cl.Cluster.clusters.(c2));
-        Bstar.set_block_dims tree2 i2 (cluster_dxdy cl.Cluster.clusters.(c1))
-      end
+      Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z ~z_gap t))
 
 let overall_dims packs ~z_gap =
   let d = Array.fold_left (fun acc (p : Bstar.packing) -> max acc p.Bstar.span_x) 0 packs in
@@ -221,119 +138,433 @@ let wirelength_of cl cluster_pos nets =
 (* ------------------------------------------------------------------ *)
 (* Incremental SA evaluation (the hot loop).
 
-   A solution handed to the annealer is not a bare [state] but an [eval]
-   record carrying the packing of every tier, the absolute cluster
-   positions and a per-net length cache, so that one perturbation costs
-   only: re-pack of the 1-2 touched tiers (the B*-tree packing cache
-   covers the rest), an O(#clusters) position diff, and a re-measure of
-   the nets incident to clusters that actually moved (via
-   [Cluster.net_index]). The full O(all tiers + all nets) evaluation
-   survives as [full_cost], wired to [Sa.run]'s [check] hook under
-   TQEC_SA_CHECK.                                                       *)
+   The annealer works on one live [eval]: the [state] plus the packing of
+   every tier, the absolute cluster positions and a per-net length cache.
+   A move mutates it in place and records in its [journal] just what it
+   touched, so a rejected move is undone in time proportional to the
+   move, not the floorplan:
+
+   - each touched tier's tree is checkpointed into a spare tree
+     ([Bstar.blit]) before the first mutation and restored by swapping the
+     two pointers, together with its previous packing;
+   - each cluster whose slot changed keeps its old slot, each cluster whose
+     position changed its old position, each re-measured net its old
+     length, plus the old wirelength.
+
+   After a perturbation [resync] re-packs the touched tiers only,
+   re-enforces TSL order on the groups with a member on a touched tier,
+   diffs the positions of the clusters that can have moved (those on
+   touched tiers and those whose slot changed) and re-measures the nets
+   incident to clusters that did move (via [Cluster.net_index]). The full
+   O(all tiers + all nets) evaluation survives as [full_cost], wired to
+   [Sa.run]'s [check] hook under TQEC_SA_CHECK.                           *)
 (* ------------------------------------------------------------------ *)
+
+type journal = {
+  mutable gen : int;          (* move generation; the stamps compare to it *)
+  tier_stamp : int array;     (* tier -> generation it was checkpointed in *)
+  slot_stamp : int array;     (* cluster -> generation its slot was saved in *)
+  net_stamp : int array;      (* net -> generation it was re-measured in *)
+  mutable n_touched : int;
+  touched : int array;        (* touched tiers, in touch order *)
+  old_packs : Bstar.packing array;
+  mutable n_slots : int;
+  slot_c : int array;         (* clusters whose slot changed ... *)
+  slot_t : int array;         (* ... and their slot before the move *)
+  slot_i : int array;
+  mutable n_moved : int;
+  moved_c : int array;        (* clusters whose position changed ... *)
+  moved_x : int array;        (* ... and their position before the move *)
+  moved_y : int array;
+  moved_z : int array;
+  mutable n_nets : int;
+  net_i : int array;          (* re-measured nets and their old lengths *)
+  net_old : int array;
+  mutable old_wirelength : int;
+  (* TSL sort scratch, one entry per group member: the sort key of the
+     member's slot (x, tier, y, block idx) and the sorted member order. *)
+  key_x : int array;
+  key_t : int array;
+  key_y : int array;
+  key_i : int array;
+  order : int array;
+}
 
 type eval = {
   state : state;
-  mutable packs : Bstar.packing array;  (* tier -> current packing *)
-  cpos : Point3.t array;                (* cluster id -> absolute position *)
+  spare : Bstar.t array;                (* tier -> checkpoint tree *)
+  packs : Bstar.packing array;          (* tier -> current packing *)
+  cx : int array;                       (* cluster id -> absolute position *)
+  cy : int array;
+  cz : int array;
   net_len : int array;                  (* net index -> manhattan length *)
   mutable wirelength : int;             (* = sum of net_len *)
+  journal : journal;
 }
 
-(* Immutable per-anneal tables plus dedup scratch, shared by every eval. *)
+(* Immutable per-anneal tables. *)
 type anneal_ctx = {
   cl : Cluster.t;
   spacing : int;
   z_gap : int;
   na_cluster : int array;   (* net index -> cluster of pin_a *)
   nb_cluster : int array;
-  na_rel : Point3.t array;  (* net index -> pin_a offset within its cluster *)
-  nb_rel : Point3.t array;
+  na_rx : int array;        (* net index -> pin_a offset within its cluster *)
+  na_ry : int array;
+  na_rz : int array;
+  nb_rx : int array;
+  nb_ry : int array;
+  nb_rz : int array;
   index : int array array;  (* cluster id -> incident net indices *)
-  net_stamp : int array;    (* generation marks: net already re-measured *)
-  mutable stamp_gen : int;
+  tsl : int array array;    (* the TSL groups, members in required order *)
 }
 
 let make_ctx cl nets ~spacing ~z_gap =
   let pins = cl.Cluster.modular.Modular.pins in
   let nets_a = Array.of_list nets in
-  let n = Array.length nets_a in
   let cluster_of pin = cl.Cluster.module_cluster.(pins.(pin).Modular.owner) in
   let rel_of pin =
     Point3.add cl.Cluster.module_offset.(pins.(pin).Modular.owner)
       pins.(pin).Modular.offset
   in
+  let rel pin_of axis = Array.map (fun nt -> axis (rel_of (pin_of nt))) nets_a in
+  let pin_a nt = nt.Bridge.pin_a and pin_b nt = nt.Bridge.pin_b in
+  let px (p : Point3.t) = p.Point3.x
+  and py (p : Point3.t) = p.Point3.y
+  and pz (p : Point3.t) = p.Point3.z in
   { cl;
     spacing;
     z_gap;
     na_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_a) nets_a;
     nb_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_b) nets_a;
-    na_rel = Array.map (fun nt -> rel_of nt.Bridge.pin_a) nets_a;
-    nb_rel = Array.map (fun nt -> rel_of nt.Bridge.pin_b) nets_a;
+    na_rx = rel pin_a px;
+    na_ry = rel pin_a py;
+    na_rz = rel pin_a pz;
+    nb_rx = rel pin_b px;
+    nb_ry = rel pin_b py;
+    nb_rz = rel pin_b pz;
     index = Cluster.net_index cl nets;
-    net_stamp = Array.make n 0;
-    stamp_gen = 0 }
+    tsl = Array.map Array.of_list cl.Cluster.tsl }
+
+let make_journal ctx packs =
+  let ntiers = Array.length packs in
+  let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
+  let group = Array.fold_left (fun acc g -> max acc (Array.length g)) 0 ctx.tsl in
+  { gen = 0;
+    tier_stamp = Array.make ntiers 0;
+    slot_stamp = Array.make ncl 0;
+    net_stamp = Array.make nnets 0;
+    n_touched = 0;
+    touched = Array.make ntiers 0;
+    old_packs = Array.copy packs;
+    n_slots = 0;
+    slot_c = Array.make ncl 0;
+    slot_t = Array.make ncl 0;
+    slot_i = Array.make ncl 0;
+    n_moved = 0;
+    moved_c = Array.make ncl 0;
+    moved_x = Array.make ncl 0;
+    moved_y = Array.make ncl 0;
+    moved_z = Array.make ncl 0;
+    n_nets = 0;
+    net_i = Array.make nnets 0;
+    net_old = Array.make nnets 0;
+    old_wirelength = 0;
+    key_x = Array.make group 0;
+    key_t = Array.make group 0;
+    key_y = Array.make group 0;
+    key_i = Array.make group 0;
+    order = Array.make group 0 }
+
+(* Open a new move: empty journal, fresh generation. *)
+let[@tqec.hot] begin_move e =
+  let j = e.journal in
+  j.gen <- j.gen + 1;
+  j.n_touched <- 0;
+  j.n_slots <- 0;
+  j.n_moved <- 0;
+  j.n_nets <- 0;
+  j.old_wirelength <- e.wirelength
+
+(* The tree of tier [t], checkpointed on its first mutation in this move. *)
+let touch e t =
+  let j = e.journal in
+  if j.tier_stamp.(t) <> j.gen then begin
+    j.tier_stamp.(t) <- j.gen;
+    Bstar.blit ~src:e.state.trees.(t) ~dst:e.spare.(t);
+    j.touched.(j.n_touched) <- t;
+    j.old_packs.(j.n_touched) <- e.packs.(t);
+    j.n_touched <- j.n_touched + 1
+  end;
+  e.state.trees.(t)
+
+let[@tqec.hot] set_slot e c t idx =
+  let s = e.state and j = e.journal in
+  if j.slot_stamp.(c) <> j.gen then begin
+    j.slot_stamp.(c) <- j.gen;
+    j.slot_c.(j.n_slots) <- c;
+    j.slot_t.(j.n_slots) <- s.cluster_tier.(c);
+    j.slot_i.(j.n_slots) <- s.cluster_idx.(c);
+    j.n_slots <- j.n_slots + 1
+  end;
+  s.cluster_tier.(c) <- t;
+  s.cluster_idx.(c) <- idx;
+  s.slot_cluster.(t).(idx) <- c
+
+(* Reallocate each TSL's (equal-sized) super-modules onto the x-sorted slot
+   positions so measurement ordering holds after any perturbation. Only
+   groups with a member on a tier touched by this move are re-sorted: for
+   the others neither the slots nor their packings changed, and the
+   reallocation is idempotent. Slots sort by (x, tier, y, block idx), a
+   total order on distinct slots, so the result does not depend on the
+   sorting algorithm. *)
+let[@tqec.hot] slot_before j a b =
+  let xa = j.key_x.(a) and xb = j.key_x.(b) in
+  xa < xb
+  || xa = xb
+     && (let ta = j.key_t.(a) and tb = j.key_t.(b) in
+         ta < tb
+         || ta = tb
+            && (let ya = j.key_y.(a) and yb = j.key_y.(b) in
+                ya < yb || (ya = yb && j.key_i.(a) < j.key_i.(b))))
+
+(* Insertion step: shift [order.(0 .. m-1)] up past [v], then place it. *)
+let[@tqec.hot] rec insert_sorted j v m =
+  if m > 0 && slot_before j v j.order.(m - 1) then begin
+    j.order.(m) <- j.order.(m - 1);
+    insert_sorted j v (m - 1)
+  end
+  else j.order.(m) <- v
+
+let[@tqec.hot] rec group_touched e ids m =
+  m < Array.length ids
+  && (e.journal.tier_stamp.(e.state.cluster_tier.(ids.(m))) = e.journal.gen
+      || group_touched e ids (m + 1))
+
+let[@tqec.hot] enforce_tsl ctx e =
+  let s = e.state and j = e.journal in
+  for g = 0 to Array.length ctx.tsl - 1 do
+    let ids = ctx.tsl.(g) in
+    let k = Array.length ids in
+    if k >= 2 && group_touched e ids 0 then begin
+      for m = 0 to k - 1 do
+        let c = ids.(m) in
+        let t = s.cluster_tier.(c) and idx = s.cluster_idx.(c) in
+        let p : Bstar.packing = e.packs.(t) in
+        j.key_x.(m) <- p.Bstar.xs.(idx);
+        j.key_t.(m) <- t;
+        j.key_y.(m) <- p.Bstar.ys.(idx);
+        j.key_i.(m) <- idx;
+        insert_sorted j m m
+      done;
+      for m = 0 to k - 1 do
+        let c = ids.(m) and o = j.order.(m) in
+        let t = j.key_t.(o) and idx = j.key_i.(o) in
+        if t <> s.cluster_tier.(c) || idx <> s.cluster_idx.(c) then set_slot e c t idx
+      done
+    end
+  done
+
+let perturb_state ctx rng e =
+  let s = e.state in
+  let ntiers = Array.length s.trees in
+  let random_tier () = Rng.int rng ntiers in
+  let op = Rng.int rng 3 in
+  match op with
+  | 0 ->
+      (* Intra-tier swap: the two clusters trade tree nodes, i.e. places in
+         the tier's floorplan; the slot->cluster map is untouched because
+         blocks are identified with tier-local slot indices. *)
+      let t = random_tier () in
+      if Bstar.num_blocks s.trees.(t) >= 2 then begin
+        let tree = touch e t in
+        let b1 = Bstar.random_block rng tree and b2 = Bstar.random_block rng tree in
+        if b1 <> b2 then Bstar.swap_blocks tree b1 b2
+      end
+  | 1 ->
+      (* intra-tier move *)
+      let t = random_tier () in
+      if Bstar.num_blocks s.trees.(t) >= 2 then begin
+        let tree = touch e t in
+        Bstar.move_block ~rng tree (Bstar.random_block rng tree)
+      end
+  | _ ->
+      (* inter-tier swap: exchange the clusters of two slots. *)
+      let t1 = random_tier () and t2 = random_tier () in
+      if t1 <> t2 then begin
+        let tree1 = touch e t1 and tree2 = touch e t2 in
+        let i1 = Bstar.random_block rng tree1 in
+        let i2 = Bstar.random_block rng tree2 in
+        let c1 = s.slot_cluster.(t1).(i1) and c2 = s.slot_cluster.(t2).(i2) in
+        set_slot e c2 t1 i1;
+        set_slot e c1 t2 i2;
+        Bstar.set_block_dims tree1 i1 (cluster_dxdy ctx.cl.Cluster.clusters.(c2));
+        Bstar.set_block_dims tree2 i2 (cluster_dxdy ctx.cl.Cluster.clusters.(c1))
+      end
 
 (* Per-axis expansion of manhattan (add pa ra) (add pb rb): identical
    arithmetic without materializing the two intermediate points, since this
    runs once per net per perturbation inside the annealer's inner loop. *)
-let[@tqec.hot] measure_net ctx cpos i =
-  let pa = cpos.(ctx.na_cluster.(i)) and ra = ctx.na_rel.(i) in
-  let pb = cpos.(ctx.nb_cluster.(i)) and rb = ctx.nb_rel.(i) in
-  abs (pa.Point3.x + ra.Point3.x - (pb.Point3.x + rb.Point3.x))
-  + abs (pa.Point3.y + ra.Point3.y - (pb.Point3.y + rb.Point3.y))
-  + abs (pa.Point3.z + ra.Point3.z - (pb.Point3.z + rb.Point3.z))
+let[@tqec.hot] measure_net ctx e i =
+  let a = ctx.na_cluster.(i) and b = ctx.nb_cluster.(i) in
+  abs (e.cx.(a) + ctx.na_rx.(i) - (e.cx.(b) + ctx.nb_rx.(i)))
+  + abs (e.cy.(a) + ctx.na_ry.(i) - (e.cy.(b) + ctx.nb_ry.(i)))
+  + abs (e.cz.(a) + ctx.na_rz.(i) - (e.cz.(b) + ctx.nb_rz.(i)))
 
+let[@tqec.hot] update_position ctx e c =
+  let t = e.state.cluster_tier.(c) and idx = e.state.cluster_idx.(c) in
+  let p : Bstar.packing = e.packs.(t) in
+  let x = p.Bstar.xs.(idx) and y = p.Bstar.ys.(idx) and z = tier_z ~z_gap:ctx.z_gap t in
+  if x <> e.cx.(c) || y <> e.cy.(c) || z <> e.cz.(c) then begin
+    let j = e.journal in
+    j.moved_c.(j.n_moved) <- c;
+    j.moved_x.(j.n_moved) <- e.cx.(c);
+    j.moved_y.(j.n_moved) <- e.cy.(c);
+    j.moved_z.(j.n_moved) <- e.cz.(c);
+    j.n_moved <- j.n_moved + 1;
+    e.cx.(c) <- x;
+    e.cy.(c) <- y;
+    e.cz.(c) <- z
+  end
+
+(* Only clusters on a touched tier (re-packed) or with a changed slot can
+   have moved; every net incident to a moved cluster is re-measured once,
+   after all positions are final. *)
+let[@tqec.hot] sync_positions ctx e =
+  let s = e.state and j = e.journal in
+  for k = 0 to j.n_touched - 1 do
+    let row = s.slot_cluster.(j.touched.(k)) in
+    for idx = 0 to Array.length row - 1 do
+      update_position ctx e row.(idx)
+    done
+  done;
+  for k = 0 to j.n_slots - 1 do
+    update_position ctx e j.slot_c.(k)
+  done;
+  for k = 0 to j.n_moved - 1 do
+    let nets = ctx.index.(j.moved_c.(k)) in
+    for m = 0 to Array.length nets - 1 do
+      let i = nets.(m) in
+      if j.net_stamp.(i) <> j.gen then begin
+        j.net_stamp.(i) <- j.gen;
+        j.net_i.(j.n_nets) <- i;
+        j.net_old.(j.n_nets) <- e.net_len.(i);
+        j.n_nets <- j.n_nets + 1;
+        let len = measure_net ctx e i in
+        e.wirelength <- e.wirelength + len - e.net_len.(i);
+        e.net_len.(i) <- len
+      end
+    done
+  done
+
+(* Revert the last perturbation: every journal entry is the value from
+   before the move, and each item was saved at most once. *)
+let[@tqec.hot] undo e =
+  let s = e.state and j = e.journal in
+  for k = 0 to j.n_touched - 1 do
+    let t = j.touched.(k) in
+    let mutated = s.trees.(t) in
+    s.trees.(t) <- e.spare.(t);
+    e.spare.(t) <- mutated;
+    e.packs.(t) <- j.old_packs.(k)
+  done;
+  for k = 0 to j.n_slots - 1 do
+    let c = j.slot_c.(k) and t = j.slot_t.(k) and idx = j.slot_i.(k) in
+    s.cluster_tier.(c) <- t;
+    s.cluster_idx.(c) <- idx;
+    s.slot_cluster.(t).(idx) <- c
+  done;
+  for k = 0 to j.n_moved - 1 do
+    let c = j.moved_c.(k) in
+    e.cx.(c) <- j.moved_x.(k);
+    e.cy.(c) <- j.moved_y.(k);
+    e.cz.(c) <- j.moved_z.(k)
+  done;
+  for k = 0 to j.n_nets - 1 do
+    e.net_len.(j.net_i.(k)) <- j.net_old.(k)
+  done;
+  e.wirelength <- j.old_wirelength;
+  j.n_touched <- 0;
+  j.n_slots <- 0;
+  j.n_moved <- 0;
+  j.n_nets <- 0
+
+let resync ctx e =
+  let j = e.journal in
+  for k = 0 to j.n_touched - 1 do
+    let t = j.touched.(k) in
+    e.packs.(t) <- Bstar.pack ~spacing:ctx.spacing e.state.trees.(t)
+  done;
+  enforce_tsl ctx e;
+  sync_positions ctx e
+
+let perturb ctx rng e =
+  begin_move e;
+  perturb_state ctx rng e;
+  resync ctx e
+
+(* The initial evaluation runs the same TSL enforcement with every tier
+   counted as touched, then measures every position and net. *)
 let eval_of_state ctx s =
   let packs = pack_all s ~spacing:ctx.spacing in
-  let cpos = cluster_positions ctx.cl s packs ~z_gap:ctx.z_gap in
-  let net_len = Array.init (Array.length ctx.net_stamp) (measure_net ctx cpos) in
-  { state = s;
-    packs;
-    cpos;
-    net_len;
-    wirelength = Array.fold_left ( + ) 0 net_len }
-
-let copy_eval e =
-  { state = copy_state e.state;
-    packs = Array.copy e.packs;
-    cpos = Array.copy e.cpos;
-    net_len = Array.copy e.net_len;
-    wirelength = e.wirelength }
-
-(* Bring the caches back in sync after [e.state] was perturbed. *)
-let resync ctx e =
-  let s = e.state in
-  let packs = pack_all s ~spacing:ctx.spacing in
-  enforce_tsl ctx.cl s packs;
-  e.packs <- packs;
-  ctx.stamp_gen <- ctx.stamp_gen + 1;
-  let gen = ctx.stamp_gen in
-  let moved = ref [] in
-  Array.iteri
-    (fun c (t, idx) ->
-      let p : Bstar.packing = packs.(t) in
-      let np =
-        Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z ~z_gap:ctx.z_gap t)
-      in
-      if not (Point3.equal np e.cpos.(c)) then begin
-        e.cpos.(c) <- np;
-        moved := c :: !moved
-      end)
-    s.cluster_slot;
-  List.iter
-    (fun c ->
-      Array.iter
-        (fun i ->
-          if ctx.net_stamp.(i) <> gen then begin
-            ctx.net_stamp.(i) <- gen;
-            let len = measure_net ctx e.cpos i in
-            e.wirelength <- e.wirelength + len - e.net_len.(i);
-            e.net_len.(i) <- len
-          end)
-        ctx.index.(c))
-    !moved;
+  let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
+  let e =
+    { state = s;
+      spare = Array.map Bstar.copy s.trees;
+      packs;
+      cx = Array.make ncl 0;
+      cy = Array.make ncl 0;
+      cz = Array.make ncl 0;
+      net_len = Array.make nnets 0;
+      wirelength = 0;
+      journal = make_journal ctx packs }
+  in
+  begin_move e;
+  Array.fill e.journal.tier_stamp 0 (Array.length packs) e.journal.gen;
+  enforce_tsl ctx e;
+  for c = 0 to ncl - 1 do
+    let t = s.cluster_tier.(c) and idx = s.cluster_idx.(c) in
+    e.cx.(c) <- packs.(t).Bstar.xs.(idx);
+    e.cy.(c) <- packs.(t).Bstar.ys.(idx);
+    e.cz.(c) <- tier_z ~z_gap:ctx.z_gap t
+  done;
+  for i = 0 to nnets - 1 do
+    e.net_len.(i) <- measure_net ctx e i;
+    e.wirelength <- e.wirelength + e.net_len.(i)
+  done;
   e
+
+(* The best-so-far buffer: made once per anneal, refreshed by [blit_eval]. *)
+let copy_eval ctx e =
+  let s = e.state in
+  { state =
+      { trees = Array.map Bstar.copy s.trees;
+        slot_cluster = Array.map Array.copy s.slot_cluster;
+        cluster_tier = Array.copy s.cluster_tier;
+        cluster_idx = Array.copy s.cluster_idx };
+    spare = Array.map Bstar.copy s.trees;
+    packs = Array.copy e.packs;
+    cx = Array.copy e.cx;
+    cy = Array.copy e.cy;
+    cz = Array.copy e.cz;
+    net_len = Array.copy e.net_len;
+    wirelength = e.wirelength;
+    journal = make_journal ctx e.packs }
+
+let blit_eval ~src ~dst =
+  let s = src.state and d = dst.state in
+  Array.iteri (fun t tree -> Bstar.blit ~src:tree ~dst:d.trees.(t)) s.trees;
+  Array.iteri (fun t row -> Array.blit row 0 d.slot_cluster.(t) 0 (Array.length row))
+    s.slot_cluster;
+  let all a b = Array.blit a 0 b 0 (Array.length a) in
+  all s.cluster_tier d.cluster_tier;
+  all s.cluster_idx d.cluster_idx;
+  all src.packs dst.packs;
+  all src.cx dst.cx;
+  all src.cy dst.cy;
+  all src.cz dst.cz;
+  all src.net_len dst.net_len;
+  dst.wirelength <- src.wirelength
 
 (* Tier count heuristic: balance the stack height against the tier
    footprint so the result is roughly as tall as a tier plane is deep. *)
@@ -362,7 +593,8 @@ type annealer = {
   a_init : eval;
   a_cost : eval -> float;
   a_full_cost : eval -> float;
-  a_perturb : Rng.t -> eval -> eval;
+  a_perturb : Rng.t -> eval -> unit;
+  a_copy : eval -> eval;
 }
 
 let[@tqec.allow
@@ -386,17 +618,12 @@ let make_annealer_with ?(trace = Trace.noop) config cl nets ~rng =
     | None -> default_tier_count cl ~spacing:config.spacing ~z_gap:config.z_gap
   in
   let spacing = config.spacing and z_gap = config.z_gap in
-  let init = initial_state cl ~ntiers in
-  enforce_tsl cl init (pack_all init ~spacing);
-  (* Normalization constants from the initial solution. *)
-  let packs0 = pack_all init ~spacing in
-  let d0, w0, h0 = overall_dims packs0 ~z_gap in
-  let v_norm = float_of_int (max 1 (d0 * w0 * h0)) in
-  let l_norm =
-    float_of_int
-      (max 1 (wirelength_of cl (cluster_positions cl init packs0 ~z_gap) nets))
-  in
   let ctx = make_ctx cl nets ~spacing ~z_gap in
+  let init = eval_of_state ctx (initial_state cl ~ntiers) in
+  (* Normalization constants from the initial solution. *)
+  let d0, w0, h0 = overall_dims init.packs ~z_gap in
+  let v_norm = float_of_int (max 1 (d0 * w0 * h0)) in
+  let l_norm = float_of_int (max 1 init.wirelength) in
   let combine ~volume_term ~wirelength_term ~aspect_term =
     volume_term +. wirelength_term +. aspect_term
   in
@@ -432,15 +659,12 @@ let make_annealer_with ?(trace = Trace.noop) config cl nets ~rng =
       ~wirelength_term:(config.beta *. l /. l_norm)
       ~aspect_term:(config.gamma *. ((r -. config.aspect_target) ** 2.0))
   in
-  let perturb rng e =
-    perturb_state cl rng e.state;
-    resync ctx e
-  in
   { a_rng = rng;
-    a_init = eval_of_state ctx init;
+    a_init = init;
     a_cost = cost;
     a_full_cost = full_cost;
-    a_perturb = perturb }
+    a_perturb = perturb ctx;
+    a_copy = copy_eval ctx }
 
 let make_annealer ?trace config cl nets =
   Cluster.equalize_tsl cl;
@@ -452,8 +676,8 @@ let anneal_once a ~trace config =
     | Some n -> (Some a.a_full_cost, n)
     | None -> (None, 1)
   in
-  Sa.run ~trace ?check ~check_every ~rng:a.a_rng ~init:a.a_init ~copy:copy_eval
-    ~cost:a.a_cost ~perturb:a.a_perturb config.sa
+  Sa.run ~trace ?check ~check_every ~rng:a.a_rng ~init:a.a_init ~copy:a.a_copy
+    ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
 
 (* K independent multi-start chains. Chain [k] seeds from
    [Rng.stream ~root:config.seed k]; each builds a private annealer
@@ -517,7 +741,7 @@ let place ?(trace = Trace.noop) ?pool (config : config) cl nets =
       cl.Cluster.module_offset
   in
   let d, w, h = overall_dims packs ~z_gap in
-  let tier_of_cluster = Array.map fst final.cluster_slot in
+  let tier_of_cluster = Array.copy final.cluster_tier in
   let wirelength = wirelength_of cl cluster_pos nets in
   if Trace.enabled trace then begin
     Trace.incr ~n:(Cluster.num_clusters cl) trace "clusters";
@@ -536,35 +760,63 @@ let place ?(trace = Trace.noop) ?pool (config : config) cl nets =
     sa_accepted = stats.Sa.accepted;
     sa_improved = stats.Sa.improved }
 
-(* One SA move evaluation — copy, perturb, incremental cost — exactly as the
-   annealer's inner loop performs it. For Bechamel and BENCH_*.json. *)
+(* One SA move evaluation — perturb in place, incremental cost, undo —
+   exactly as the annealer's inner loop performs a rejected move. For
+   Bechamel and BENCH_*.json. *)
 let sa_eval_bench config cl nets =
   let a = make_annealer config cl nets in
-  fun () -> ignore (a.a_cost (a.a_perturb a.a_rng (copy_eval a.a_init)))
+  fun () ->
+    a.a_perturb a.a_rng a.a_init;
+    ignore (a.a_cost a.a_init);
+    undo a.a_init
+
+let equal_packing (a : Bstar.packing) (b : Bstar.packing) =
+  a.Bstar.xs = b.Bstar.xs && a.Bstar.ys = b.Bstar.ys
+  && a.Bstar.span_x = b.Bstar.span_x
+  && a.Bstar.span_y = b.Bstar.span_y
+
+(* Everything a move may touch; journal and spare trees are scratch. *)
+let same_eval ~spacing a b =
+  let sa = a.state and sb = b.state in
+  Array.for_all2 Bstar.equal sa.trees sb.trees
+  && Array.for_all2 equal_packing a.packs b.packs
+  && Array.for_all2 (fun tree p -> equal_packing (Bstar.pack ~spacing tree) p) sa.trees a.packs
+  && sa.slot_cluster = sb.slot_cluster
+  && sa.cluster_tier = sb.cluster_tier
+  && sa.cluster_idx = sb.cluster_idx
+  && a.cx = b.cx && a.cy = b.cy && a.cz = b.cz
+  && a.net_len = b.net_len
+  && a.wirelength = b.wirelength
 
 (* Random-walk differential check of the incremental evaluation, independent
-   of the TQEC_SA_CHECK env hook so property tests can drive it directly. *)
+   of the TQEC_SA_CHECK env hook so property tests can drive it directly.
+   A seeded share of the moves (about a third) is undone, as a rejected
+   move would be, and must restore the snapshot taken before the move. *)
 let check_incremental_cost ?(iterations = 200) config cl nets =
   let a = make_annealer config cl nets in
-  let current = ref a.a_init in
-  let result = ref (Ok ()) in
-  (try
-     for i = 1 to iterations do
-       let candidate = a.a_perturb a.a_rng (copy_eval !current) in
-       let inc = a.a_cost candidate in
-       let full = a.a_full_cost candidate in
-       if Float.abs (inc -. full) > 1e-9 *. Float.max 1.0 (Float.abs full) then begin
-         result :=
-           Error
-             (Printf.sprintf
-                "incremental cost %.17g <> full recomputation %.17g after %d moves"
-                inc full i);
-         raise Exit
-       end;
-       current := candidate
-     done
-   with Exit -> ());
-  !result
+  let e = a.a_init in
+  let undo_rng = Rng.stream ~root:config.seed 1 in
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let rec walk i =
+    if i > iterations then Ok ()
+    else begin
+      let snapshot = if Rng.int undo_rng 3 = 0 then Some (a.a_copy e) else None in
+      a.a_perturb a.a_rng e;
+      let inc = a.a_cost e in
+      let full = a.a_full_cost e in
+      if Float.abs (inc -. full) > 1e-9 *. Float.max 1.0 (Float.abs full) then
+        fail "incremental cost %.17g <> full recomputation %.17g after %d moves" inc
+          full i
+      else
+        match snapshot with
+        | None -> walk (i + 1)
+        | Some before ->
+            undo e;
+            if same_eval ~spacing:config.spacing before e then walk (i + 1)
+            else fail "undo of move %d did not restore the evaluation" i
+    end
+  in
+  walk 1
 
 let pin_position p pin_id =
   let pin = p.cluster.Cluster.modular.Modular.pins.(pin_id) in

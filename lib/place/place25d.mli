@@ -65,9 +65,10 @@ val place :
 val sa_eval_bench :
   config -> Cluster.t -> Tqec_bridge.Bridge.net list -> unit -> unit
 (** [sa_eval_bench config cl nets] builds the annealer once and returns a
-    thunk performing exactly one SA move evaluation (solution copy,
-    perturbation, incremental cost) per call — the unit Bechamel and the
-    [sa_moves_per_sec] baseline measure. *)
+    thunk performing exactly one rejected SA move per call: the in-place
+    perturbation, the incremental cost and the undo that reverts it, so
+    every call starts from the initial solution. This is the unit Bechamel
+    and the [sa_moves_per_sec] baseline measure. *)
 
 val check_incremental_cost :
   ?iterations:int ->
@@ -78,7 +79,13 @@ val check_incremental_cost :
 (** Random-walk differential check: perturb repeatedly and compare the
     incrementally maintained cost against a from-scratch re-evaluation
     (packing cache bypassed, wirelength re-summed over every net) at each
-    step. [Error] pinpoints the first divergence beyond 1e-9 relative.
+    step. About a third of the moves, chosen by an RNG seeded from
+    [config.seed], are then undone as the annealer undoes a rejected move,
+    and the evaluation must equal a snapshot taken before the move: tree
+    shapes, packings (and the trees' cached packings), slot maps, cluster
+    positions, net lengths and wirelength. [Error] pinpoints the first
+    divergence beyond 1e-9 relative, or the first undo that did not
+    restore the snapshot.
     The same comparison runs inside {!place} every N moves when the
     [TQEC_SA_CHECK] environment variable is set (its value is N when it
     parses as a positive integer, else 64). *)

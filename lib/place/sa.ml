@@ -21,8 +21,8 @@ type 'a stats = {
 
 let check_tolerance = 1e-9
 
-let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~cost
-    ~perturb params =
+let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~blit
+    ~cost ~perturb ~undo params =
   let check_every = max 1 check_every in
   let verify i candidate c =
     match check with
@@ -39,9 +39,9 @@ let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~cost
                c reference i)
     | Some _ | None -> ()
   in
-  let current = ref init in
-  let current_cost = ref (cost init) in
-  let best = ref (copy init) in
+  let current = init in
+  let current_cost = ref (cost current) in
+  let best = copy current in
   let best_cost = ref !current_cost in
   let accepted = ref 0 and rejected = ref 0 and improved = ref 0 in
   let n = max 1 params.iterations in
@@ -49,9 +49,9 @@ let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~cost
   let ratio = params.end_temp /. params.start_temp in
   for i = 0 to n - 1 do
     let temp = params.start_temp *. (ratio ** (float_of_int i /. float_of_int n)) in
-    let candidate = perturb rng (copy !current) in
-    let c = cost candidate in
-    verify i candidate c;
+    perturb rng current;
+    let c = cost current in
+    verify i current c;
     let delta = c -. !current_cost in
     let accept =
       if delta <= 0.0 then true
@@ -60,16 +60,18 @@ let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~cost
     if accept then begin
       incr accepted;
       if delta < 0.0 then incr improved;
-      current := candidate;
       current_cost := c;
       if c < !best_cost then begin
-        best := copy candidate;
+        blit ~src:current ~dst:best;
         best_cost := c
       end
     end
-    else incr rejected
+    else begin
+      incr rejected;
+      undo current
+    end
   done;
-  let final = if params.restore_best then !best else !current in
+  let final = if params.restore_best then best else current in
   let final_cost = if params.restore_best then !best_cost else !current_cost in
   if Trace.enabled trace then begin
     Trace.incr ~n:n trace "sa_moves";

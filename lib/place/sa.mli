@@ -3,7 +3,7 @@
     Drives the 2.5D placement (§III-C2): a better neighbouring solution is
     always accepted, a worse one with probability exp(-Δ/T), and the
     temperature decays geometrically. The engine is solution-representation
-    agnostic: the caller supplies copy / cost / perturb. *)
+    agnostic: the caller supplies copy / blit / cost / perturb / undo. *)
 
 type params = {
   iterations : int;       (** total perturbation attempts *)
@@ -29,14 +29,24 @@ val run :
   rng:Tqec_prelude.Rng.t ->
   init:'a ->
   copy:('a -> 'a) ->
+  blit:(src:'a -> dst:'a -> unit) ->
   cost:('a -> float) ->
-  perturb:(Tqec_prelude.Rng.t -> 'a -> 'a) ->
+  perturb:(Tqec_prelude.Rng.t -> 'a -> unit) ->
+  undo:('a -> unit) ->
   params ->
   'a stats
-(** [perturb] returns a new (or modified-copy) solution; the engine never
-    mutates a solution it has handed out. Deterministic given the RNG;
-    [trace] (default {!Tqec_obs.Trace.noop}) receives move-acceptance
-    counters without influencing the anneal.
+(** Anneal [init] in place. Each move calls [perturb], which mutates the
+    one live solution; when the move is rejected the engine calls [undo],
+    which must restore exactly the solution [perturb] was given — it is
+    only ever called right after the [perturb] (and [cost]) it reverts.
+    The best solution seen lives in one buffer made once by [copy] (of
+    [init], before the first move) and refreshed by [blit ~src ~dst] on each
+    new best; no other copy is made. The returned [best] is that buffer,
+    or with [restore_best = false] the live solution [init] itself.
+    Deterministic given the RNG: per move, the RNG is drawn by [perturb]
+    and then at most once by the acceptance test. [trace] (default
+    {!Tqec_obs.Trace.noop}) receives move-acceptance counters without
+    influencing the anneal.
 
     [check] is a debug hook for incrementally maintained cost functions: an
     independent from-scratch re-evaluation run on every [check_every]-th

@@ -95,12 +95,15 @@ type workspace = {
   dialq_b : Dialq.t;          (* backward open list *)
   (* Reference-kernel scratch (the PR 6 shape): grid-indexed arrays and a
      comparison heap. Exercised only under TQEC_ROUTE_REFERENCE=1, the
-     [Reference] bench variant and the differential tests. *)
-  g_score : int array;
-  stamp : int array;
-  parent : int array;
-  goal_mark : int array;
-  start_mark : int array;
+     [Reference] bench variant and the differential tests, so the arrays
+     start empty and are allocated by the first [search_reference] (see
+     [ensure_reference_scratch]): five grid-sized arrays per workspace are
+     megabytes that every other routing call would carry for nothing. *)
+  mutable g_score : int array;
+  mutable stamp : int array;
+  mutable parent : int array;
+  mutable goal_mark : int array;
+  mutable start_mark : int array;
   heap : int Binheap.t;
   mutable generation : int;
   mutable n_expansions : int; (* A* nodes expanded, across all searches *)
@@ -127,11 +130,11 @@ let make_workspace grid =
     rbparent = iarr_make 0;
     rbstamp = iarr_make 0;
     dialq_b = Dialq.create ();
-    g_score = Array.make n 0;
-    stamp = Array.make n 0;
-    parent = Array.make n (-1);
-    goal_mark = Array.make n 0;
-    start_mark = Array.make n 0;
+    g_score = [||];
+    stamp = [||];
+    parent = [||];
+    goal_mark = [||];
+    start_mark = [||];
     heap = Binheap.create ();
     generation = 0;
     n_expansions = 0;
@@ -144,7 +147,6 @@ let make_workspace grid =
    array and both open lists. Region scratch starts empty and grows to the
    regions that domain actually searches. *)
 let clone_workspace ws =
-  let n = Array.length ws.g_score in
   { grid = ws.grid;
     history = ws.history;
     rcap = 0;
@@ -162,16 +164,28 @@ let clone_workspace ws =
     rbparent = iarr_make 0;
     rbstamp = iarr_make 0;
     dialq_b = Dialq.create ();
-    g_score = Array.make n 0;
-    stamp = Array.make n 0;
-    parent = Array.make n (-1);
-    goal_mark = Array.make n 0;
-    start_mark = Array.make n 0;
+    g_score = [||];
+    stamp = [||];
+    parent = [||];
+    goal_mark = [||];
+    start_mark = [||];
     heap = Binheap.create ();
     generation = 0;
     n_expansions = 0;
     n_pushes = 0;
     n_bidir = 0 }
+
+(* A fresh array reads as "stamped by generation 0", and generations only
+   count up, so late allocation needs no clearing. *)
+let ensure_reference_scratch ws =
+  let n = Grid.size ws.grid in
+  if Array.length ws.stamp < n then begin
+    ws.g_score <- Array.make n 0;
+    ws.stamp <- Array.make n 0;
+    ws.parent <- Array.make n (-1);
+    ws.goal_mark <- Array.make n 0;
+    ws.start_mark <- Array.make n 0
+  end
 
 let ensure_rcap ws n =
   if n > ws.rcap then begin
@@ -435,6 +449,7 @@ let search_reference ws ~max_expansions ~present_penalty ~exact ~occ ~region
   match clip_region ws.grid region with
   | None -> None
   | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
+      ensure_reference_scratch ws;
       let grid = ws.grid in
       let nx, ny, _ = Grid.extents grid in
       let o = Grid.origin grid in

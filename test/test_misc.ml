@@ -14,15 +14,21 @@ let test_rng_pick () =
 let test_sa_last_solution_mode () =
   let rng = Rng.create 4 in
   let stats =
-    Tqec_place.Sa.run ~rng ~init:10 ~copy:(fun x -> x)
-      ~cost:(fun x -> float_of_int (abs x))
-      ~perturb:(fun rng x -> x + Rng.int rng 3 - 1)
+    let prev = ref 10 in
+    Tqec_place.Sa.run ~rng ~init:(ref 10)
+      ~copy:(fun x -> ref !x)
+      ~blit:(fun ~src ~dst -> dst := !src)
+      ~cost:(fun x -> float_of_int (abs !x))
+      ~perturb:(fun rng x ->
+        prev := !x;
+        x := !x + Rng.int rng 3 - 1)
+      ~undo:(fun x -> x := !prev)
       { Tqec_place.Sa.iterations = 200; start_temp = 5.0; end_temp = 0.01;
         restore_best = false }
   in
   (* With restore_best = false the reported cost is the last accepted
      solution's cost, still consistent with the solution itself. *)
-  Alcotest.(check (float 1e-9)) "consistent" (float_of_int (abs stats.Tqec_place.Sa.best))
+  Alcotest.(check (float 1e-9)) "consistent" (float_of_int (abs !(stats.Tqec_place.Sa.best)))
     stats.Tqec_place.Sa.best_cost
 
 let test_bstar_resize_affects_packing () =

@@ -4,39 +4,53 @@ module Rng = Tqec_prelude.Rng
 
 (* --- SA engine --- *)
 
+(* Anneal an [int ref] in place: [step] draws the next value from the
+   current one, [undo] puts back the value the last step replaced. *)
+let run_int ~rng ~init ~cost ~step params =
+  let prev = ref init in
+  Sa.run ~rng ~init:(ref init)
+    ~copy:(fun x -> ref !x)
+    ~blit:(fun ~src ~dst -> dst := !src)
+    ~cost:(fun x -> cost !x)
+    ~perturb:(fun rng x ->
+      prev := !x;
+      x := step rng !x)
+    ~undo:(fun x -> x := !prev)
+    params
+
 let test_sa_minimizes () =
   (* Minimize (x - 7)^2 over integers by +-1 moves. *)
   let rng = Rng.create 1 in
   let cost x = (float_of_int x -. 7.0) ** 2.0 in
   let stats =
-    Sa.run ~rng ~init:100 ~copy:(fun x -> x)
+    run_int ~rng ~init:100
       ~cost
-      ~perturb:(fun rng x -> if Rng.bool rng then x + 1 else x - 1)
+      ~step:(fun rng x -> if Rng.bool rng then x + 1 else x - 1)
       { Sa.default_params with Sa.iterations = 5000; start_temp = 50.0 }
   in
-  Alcotest.(check int) "found the minimum" 7 stats.Sa.best
+  Alcotest.(check int) "found the minimum" 7 !(stats.Sa.best)
 
 let test_sa_deterministic () =
   let run () =
     let rng = Rng.create 5 in
-    Sa.run ~rng ~init:50 ~copy:(fun x -> x)
+    run_int ~rng ~init:50
       ~cost:(fun x -> float_of_int (abs (x - 3)))
-      ~perturb:(fun rng x -> x + Rng.int rng 5 - 2)
+      ~step:(fun rng x -> x + Rng.int rng 5 - 2)
       { Sa.default_params with Sa.iterations = 1000 }
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "same best" a.Sa.best b.Sa.best;
+  Alcotest.(check int) "same best" !(a.Sa.best) !(b.Sa.best);
   Alcotest.(check int) "same accepted" a.Sa.accepted b.Sa.accepted
 
 let test_sa_restore_best () =
   let rng = Rng.create 2 in
   let stats =
-    Sa.run ~rng ~init:0 ~copy:(fun x -> x)
+    run_int ~rng ~init:0
       ~cost:(fun x -> float_of_int (abs x))
-      ~perturb:(fun rng x -> x + Rng.int rng 11 - 5)
+      ~step:(fun rng x -> x + Rng.int rng 11 - 5)
       { Sa.iterations = 500; start_temp = 10.0; end_temp = 0.1; restore_best = true }
   in
-  Alcotest.(check (float 1e-9)) "best cost matches best" (float_of_int (abs stats.Sa.best))
+  Alcotest.(check (float 1e-9)) "best cost matches best" (float_of_int (abs !(stats.Sa.best)))
     stats.Sa.best_cost
 
 (* --- B*-tree --- *)
@@ -259,6 +273,48 @@ let test_place_single_cluster () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Bit-identity pin on one generated 4gt10-v1_81 instance (10 tiers, 4
+   TSL groups: inter-tier swaps and TSL reallocation both happen), at the
+   default SA budget and at ten times it. The numbers and the digest of the
+   placement artifact are the annealer's observable behaviour; a speed-up
+   of the move loop must leave them unchanged. *)
+let test_place_pinned_4gt10 () =
+  let module Flow = Tqec_core.Flow in
+  let noop = Tqec_obs.Trace.noop in
+  let circuit =
+    Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
+  in
+  let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
+  let nets =
+    (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
+      .Flow.Bridging.nets
+  in
+  List.iter
+    (fun (iterations, volume, wirelength, accepted, improved, digest) ->
+      let options = Flow.scale_options ~sa_iterations:iterations Flow.default_options in
+      let p =
+        (Flow.Placement.run ~trace:noop
+           { Flow.Placement.primal_groups = true;
+             max_group_size = 4;
+             config = options.Flow.place;
+             modular;
+             nets;
+             pool = None })
+          .Flow.Placement.placement
+      in
+      let at what = Printf.sprintf "SA %d %s" iterations what in
+      Alcotest.(check int) (at "volume") volume p.Place25d.volume;
+      Alcotest.(check int) (at "wirelength") wirelength p.Place25d.wirelength;
+      Alcotest.(check int) (at "sa_accepted") accepted p.Place25d.sa_accepted;
+      Alcotest.(check int) (at "sa_improved") improved p.Place25d.sa_improved;
+      Alcotest.(check string) (at "placement sha256") digest
+        (Tqec_prelude.Hash.sha256_hex
+           (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_placement p))))
+    [ (2000, 71440, 16132, 1699, 796,
+       "cc0927bbdc489c77ab71f24a305b27023088c299e6f8e8e7824f48b3a48bc44a");
+      (20000, 62016, 15252, 16196, 7267,
+       "32c7f3c82b1c83fa5fc3e8f3738c86ff8d6a645807e7a80aec7877d773cd1607") ]
+
 let prop_place_valid_on_random_circuits =
   QCheck.Test.make ~name:"placement invariants on random circuits" ~count:10
     QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (int_bound 4))
@@ -306,4 +362,5 @@ let suites =
         Alcotest.test_case "dims positive" `Quick test_place_dims_positive;
         Alcotest.test_case "deterministic" `Quick test_place_deterministic;
         Alcotest.test_case "single cluster" `Quick test_place_single_cluster;
+        Alcotest.test_case "pinned 4gt10 instance" `Quick test_place_pinned_4gt10;
         QCheck_alcotest.to_alcotest prop_place_valid_on_random_circuits ] ) ]
