@@ -109,7 +109,9 @@ let rules =
       "an allocating construct (closure, tuple/record/array build, \
        non-constant constructor, boxed int32/int64, List/Buffer building, \
        partial application) is transitively reachable from a [@tqec.hot] \
-       kernel; hot loops must run allocation-free" ) ]
+       kernel, or a [@tqec.hot] local function is bound inside a while/for \
+       body and so rebuilt every iteration; hot loops must run \
+       allocation-free" ) ]
 
 let known_rule r = List.exists (fun (n, _, _) -> String.equal n r) rules
 

@@ -245,6 +245,7 @@ type ctx = {
   mutable cx_qual : string;    (* qualified registration prefix *)
   mutable cx_disp : string;    (* display prefix *)
   mutable cx_cur : def;
+  mutable cx_in_loop : bool;   (* inside a while/for body of the current fn *)
   mutable cx_raws : raw list;  (* reverse order; reversed at unit end *)
 }
 
@@ -350,10 +351,19 @@ let record_alloc ctx desc (loc : Location.t) =
   let d = ctx.cx_cur in
   d.d_allocs <- (desc, site_of ctx loc) :: d.d_allocs
 
+(* Run [k] with [cx_in_loop] set to [in_loop]: true in a while/for body,
+   false again inside a function body, which runs when it is called, not
+   once per iteration of a loop around its definition. *)
+let with_loop ctx in_loop k =
+  let saved = ctx.cx_in_loop in
+  ctx.cx_in_loop <- in_loop;
+  k ();
+  ctx.cx_in_loop <- saved
+
 let with_cur ctx d k =
   let saved = ctx.cx_cur in
   ctx.cx_cur <- d;
-  k ();
+  with_loop ctx false k;
   ctx.cx_cur <- saved
 
 let fn_binding (vb : Typedtree.value_binding) =
@@ -394,7 +404,15 @@ let rec walk_expr g ctx self (e : Typedtree.expression) =
          consume the curried chain so nested Texp_function nodes are not
          double-counted. *)
       record_alloc ctx "closure" e.exp_loc;
-      walk_fn_chain self e
+      with_loop ctx false (fun () -> walk_fn_chain self e)
+  | Texp_while (cond, body) ->
+      with_loop ctx true (fun () ->
+          iter_expr self cond;
+          iter_expr self body)
+  | Texp_for (_, _, lo, hi, _, body) ->
+      iter_expr self lo;
+      iter_expr self hi;
+      with_loop ctx true (fun () -> iter_expr self body)
   | Texp_let (_, vbs, body) ->
       walk_let g ctx self vbs;
       iter_expr self body
@@ -465,7 +483,17 @@ and walk_let g ctx self vbs =
       in
       Hashtbl.replace ctx.cx_locals uname d.d_id;
       record_alloc ctx ("closure (local fn " ^ Ident.name id ^ ")")
-        vb.vb_pat.pat_loc)
+        vb.vb_pat.pat_loc;
+      (* The enclosing function pays for that closure, and it need not be
+         hot. But a hot local function bound inside a loop body is rebuilt
+         on every iteration, so the allocation is charged to the hot
+         function itself, at its binding site. *)
+      if d.d_hot && ctx.cx_in_loop then
+        d.d_allocs <-
+          ( "closure rebuilt on every iteration of the enclosing while/for \
+             loop",
+            site_of ctx vb.vb_pat.pat_loc )
+          :: d.d_allocs)
     locals;
   List.iter
     (fun (vb : value_binding) ->
@@ -706,7 +734,7 @@ let build ~ix ~file_of =
             cx_aliases = Hashtbl.create 32; cx_locals = Hashtbl.create 64;
             cx_qual = ui.ui_name; cx_disp = short;
             cx_cur = init_def g ~unit_name:ui.ui_name ~file ~short;
-            cx_raws = [] }
+            cx_in_loop = false; cx_raws = [] }
         in
         let iter = make_iterator g ctx in
         iter.Tast_iterator.structure iter ui.ui_str;

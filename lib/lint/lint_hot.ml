@@ -11,6 +11,10 @@
    stdlib calls (list/array/string/bytes builders, Buffer, boxed-integer
    arithmetic, Printf/Format) and partial applications. Float arithmetic
    is deliberately not flagged: the compiler unboxes local float flows.
+   A hot local function bound inside a while/for body is flagged at its
+   binding site: its closure is rebuilt on every iteration, a cost the
+   graph charges to the hot function itself (Lint_graph.walk_let), since
+   the enclosing function that builds it need not be hot.
 
    Traversal enters function defs only and can be pruned at a call site
    covered by [@tqec.allow "hot-path-alloc: ..."] — the cut is recorded

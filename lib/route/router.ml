@@ -70,11 +70,9 @@ type workspace = {
   history : float array;      (* PathFinder history cost, grid-indexed *)
   (* Canonical-kernel scratch, region-strided:
        r = (x - rx0) + rnx * ((y - ry0) + rny * (z - rz0)).
-     Grown to the largest region ever searched and revalidated per search
-     through [generation]; growth discards stamps, which is safe because a
-     fresh array reads as "stamped by generation 0" and generations only
-     count up. *)
-  mutable rcap : int;
+     Empty until the workspace's first search, which sizes every array at
+     the grid's cell count (see [ensure_region_scratch]); revalidated per
+     search through [generation]. *)
   mutable rstamp : iarr;      (* generation marker: validates rg/rf/rparent *)
   mutable rg : iarr;          (* g-score *)
   mutable rf : iarr;          (* f at push time; pop staleness check *)
@@ -115,7 +113,6 @@ let make_workspace grid =
   let n = Grid.size grid in
   { grid;
     history = Array.make n 0.0;
-    rcap = 0;
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
@@ -144,12 +141,12 @@ let make_workspace grid =
 (* Per-domain speculative search scratch: shares [grid] and the [history]
    array physically with the parent workspace (both are only written between
    negotiation passes, never during one), owns every generation-stamped
-   array and both open lists. Region scratch starts empty and grows to the
-   regions that domain actually searches. *)
+   array and both open lists. Region scratch starts empty and is sized on
+   the clone's own first search, so a domain that never searches never
+   pays for it. *)
 let clone_workspace ws =
   { grid = ws.grid;
     history = ws.history;
-    rcap = 0;
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
@@ -187,35 +184,45 @@ let ensure_reference_scratch ws =
     ws.start_mark <- Array.make n 0
   end
 
-let ensure_rcap ws n =
-  if n > ws.rcap then begin
-    let cap = max n (max 1024 (2 * ws.rcap)) in
-    ws.rstamp <- iarr_zero cap;
-    ws.rg <- iarr_make cap;
-    ws.rf <- iarr_make cap;
-    ws.rparent <- iarr_make cap;
-    ws.rgoal <- iarr_zero cap;
-    ws.rstart <- iarr_zero cap;
-    ws.rcost <- iarr_make cap;
-    ws.rcstamp <- iarr_zero cap;
-    ws.rbg <- iarr_make cap;
-    ws.rbf <- iarr_make cap;
-    ws.rbparent <- iarr_make cap;
-    ws.rbstamp <- iarr_zero cap;
-    ws.rcap <- cap
+(* A clipped region never exceeds the grid, so the first search sizes the
+   region scratch at the grid's cell count and no search ever regrows it.
+   The stamp arrays start zeroed — "stamped by generation 0", and
+   generations only count up — and the rest is only read behind a stamp. *)
+let ensure_region_scratch ws =
+  if Bigarray.Array1.dim ws.rstamp = 0 then begin
+    let n = Grid.size ws.grid in
+    ws.rstamp <- iarr_zero n;
+    ws.rg <- iarr_make n;
+    ws.rf <- iarr_make n;
+    ws.rparent <- iarr_make n;
+    ws.rgoal <- iarr_zero n;
+    ws.rstart <- iarr_zero n;
+    ws.rcost <- iarr_make n;
+    ws.rcstamp <- iarr_zero n;
+    ws.rbg <- iarr_make n;
+    ws.rbf <- iarr_make n;
+    ws.rbparent <- iarr_make n;
+    ws.rbstamp <- iarr_zero n
   end
 
 (* History-aware heuristic floor: every step into a region cell costs at
    least [quantum + trunc (quantum * history)], and the present-sharing term
    only adds to that, so the region-wide minimum of the history surcharge is
-   an admissible per-step bound for any occupancy. Interior cells carry zero
+   an admissible per-step bound for any occupancy. Fabric cells carry zero
    history until congestion builds, so the scan early-exits on the first
-   zero-surcharge cell — O(1) until the region is genuinely saturated,
-   O(region) exactly when the sharper bound pays for itself. *)
+   zero-surcharge cell. A region's low-z corner usually lies in the
+   soft-boundary halo below the fabric, whose history is never zero, so the
+   layers are scanned from the fabric (z >= 0) up and wrap round to the
+   halo layers last; the floor is a minimum, so the order cannot change it.
+   The scan is O(region) only once the region is genuinely saturated,
+   exactly when the sharper bound pays for itself. *)
 let region_min_surcharge ws ~nx ~nxy ~rx0 ~ry0 ~rz0 ~rx1 ~ry1 ~rz1 =
   let minc = ref max_int in
+  let rnz = rz1 - rz0 in
+  let zf = min (rz1 - 1) (max rz0 (-(Grid.origin ws.grid).Point3.z)) in
   (try
-     for z = rz0 to rz1 - 1 do
+     for i = 0 to rnz - 1 do
+       let z = rz0 + ((zf - rz0 + i) mod rnz) in
        for y = ry0 to ry1 - 1 do
          let base = (z * nxy) + (y * nx) in
          for x = rx0 to rx1 - 1 do
@@ -273,7 +280,7 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
       let gen = ws.generation in
       let rnx = rx1 - rx0 and rny = ry1 - ry0 and rnz = rz1 - rz0 in
       let rnxy = rnx * rny in
-      ensure_rcap ws (rnxy * rnz);
+      ensure_region_scratch ws;
       let rstamp = ws.rstamp and rg = ws.rg and rf = ws.rf in
       let rparent = ws.rparent and rgoal = ws.rgoal and rstart = ws.rstart in
       let rcost = ws.rcost and rcstamp = ws.rcstamp in
@@ -328,6 +335,58 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
             Dialq.push q ~key:h (pack_of p)
           end)
         starts;
+      (* Relax neighbor [vq] (packed) / [cq] (grid index) of the popped
+         region cell [r], whose g-score is [g] and heuristic [h]; [dh] is
+         the heuristic's change along the move. Bound once per search, not
+         per pop: a closure over the popped cell's values would be rebuilt
+         on every expansion.
+
+         Bounds safety: [rq] stays inside the region by the stride checks
+         at the call sites, and [cq] tracks [rq] exactly, so the unsafe
+         accesses index within the arrays sized by [ensure_region_scratch]
+         and the grid. The reference kernel runs the same searches through
+         fully checked accesses and the differential suite pins the two
+         bit-identical. *)
+      let[@tqec.hot] step r g h vq cq dh =
+        let rq = vq lsr 30 in
+        if
+          (not (Grid.blocked_unsafe_c grid cq))
+          || Bigarray.Array1.unsafe_get rgoal rq = gen
+          || Bigarray.Array1.unsafe_get rstart rq = gen
+        then begin
+          let extra =
+            if Bigarray.Array1.unsafe_get rcstamp rq = gen then
+              Bigarray.Array1.unsafe_get rcost rq
+            else begin
+              let e =
+                int_of_float
+                  (float_of_int quantum
+                  *. (Array.unsafe_get ws.history cq
+                     +. (present_penalty *. float_of_int (Array.unsafe_get occ cq))))
+              in
+              Bigarray.Array1.unsafe_set rcstamp rq gen;
+              Bigarray.Array1.unsafe_set rcost rq e;
+              e
+            end
+          in
+          let gq = g + quantum + extra in
+          if
+            Bigarray.Array1.unsafe_get rstamp rq <> gen
+            || Bigarray.Array1.unsafe_get rg rq > gq
+          then begin
+            let fq = gq + h + dh in
+            Bigarray.Array1.unsafe_set rstamp rq gen;
+            Bigarray.Array1.unsafe_set rg rq gq;
+            Bigarray.Array1.unsafe_set rf rq fq;
+            Bigarray.Array1.unsafe_set rparent rq r;
+            ws.n_pushes <- ws.n_pushes + 1;
+            Dialq.push q ~key:fq vq
+          end
+        end
+      in
+      let dx = (1 lsl 30) lor 1
+      and dy = (rnx lsl 30) lor (1 lsl 10)
+      and dz = (rnxy lsl 30) lor (1 lsl 20) in
       let found = ref (-1) in
       let continue_ = ref true in
       let expansions = ref 0 in
@@ -357,59 +416,12 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
                 and lz = (v lsr 20) land 0x3ff in
                 let x = lx + rx0 and y = ly + ry0 and z = lz + rz0 in
                 let c = (z * nxy) + (y * nx) + x in
-                (* Bounds safety: [r] stays inside the region by the stride
-                   checks below, and [c] tracks [r] exactly, so the unsafe
-                   accesses index within the arrays sized by [ensure_rcap]
-                   and the grid. The reference kernel runs the same searches
-                   through fully checked accesses and the differential suite
-                   pins the two bit-identical. *)
-                let[@tqec.hot] step vq cq dh =
-                  let rq = vq lsr 30 in
-                  if
-                    (not (Grid.blocked_unsafe_c grid cq))
-                    || Bigarray.Array1.unsafe_get rgoal rq = gen
-                    || Bigarray.Array1.unsafe_get rstart rq = gen
-                  then begin
-                    let extra =
-                      if Bigarray.Array1.unsafe_get rcstamp rq = gen then
-                        Bigarray.Array1.unsafe_get rcost rq
-                      else begin
-                        let e =
-                          int_of_float
-                            (float_of_int quantum
-                            *. (Array.unsafe_get ws.history cq
-                               +. (present_penalty
-                                  *. float_of_int (Array.unsafe_get occ cq))))
-                        in
-                        Bigarray.Array1.unsafe_set rcstamp rq gen;
-                        Bigarray.Array1.unsafe_set rcost rq e;
-                        e
-                      end
-                    in
-                    let gq = g + quantum + extra in
-                    if
-                      Bigarray.Array1.unsafe_get rstamp rq <> gen
-                      || Bigarray.Array1.unsafe_get rg rq > gq
-                    then begin
-                      let fq = gq + h + dh in
-                      Bigarray.Array1.unsafe_set rstamp rq gen;
-                      Bigarray.Array1.unsafe_set rg rq gq;
-                      Bigarray.Array1.unsafe_set rf rq fq;
-                      Bigarray.Array1.unsafe_set rparent rq r;
-                      ws.n_pushes <- ws.n_pushes + 1;
-                      Dialq.push q ~key:fq vq
-                    end
-                  end
-                in
-                let dx = (1 lsl 30) lor 1
-                and dy = (rnx lsl 30) lor (1 lsl 10)
-                and dz = (rnxy lsl 30) lor (1 lsl 20) in
-                if lx + 1 < rnx then step (v + dx) (c + 1) (if x >= tx then u else -u);
-                if lx > 0 then step (v - dx) (c - 1) (if x <= tx then u else -u);
-                if ly + 1 < rny then step (v + dy) (c + nx) (if y >= ty then u else -u);
-                if ly > 0 then step (v - dy) (c - nx) (if y <= ty then u else -u);
-                if lz + 1 < rnz then step (v + dz) (c + nxy) (if z >= tz then u else -u);
-                if lz > 0 then step (v - dz) (c - nxy) (if z <= tz then u else -u)
+                if lx + 1 < rnx then step r g h (v + dx) (c + 1) (if x >= tx then u else -u);
+                if lx > 0 then step r g h (v - dx) (c - 1) (if x <= tx then u else -u);
+                if ly + 1 < rny then step r g h (v + dy) (c + nx) (if y >= ty then u else -u);
+                if ly > 0 then step r g h (v - dy) (c - nx) (if y <= ty then u else -u);
+                if lz + 1 < rnz then step r g h (v + dz) (c + nxy) (if z >= tz then u else -u);
+                if lz > 0 then step r g h (v - dz) (c - nxy) (if z <= tz then u else -u)
               end
             end
         end
@@ -585,7 +597,7 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
       let gen = ws.generation in
       let rnx = rx1 - rx0 and rny = ry1 - ry0 and rnz = rz1 - rz0 in
       let rnxy = rnx * rny in
-      ensure_rcap ws (rnxy * rnz);
+      ensure_region_scratch ws;
       if rnx > 1024 || rny > 1024 || rnz > 1024 then
         invalid_arg "Router: search region exceeds 1024 cells on an axis";
       let rstamp = ws.rstamp and rg = ws.rg and rf = ws.rf in
@@ -657,6 +669,48 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
         let traversable rq cq =
           (not (Grid.blocked_unsafe_c grid cq)) || rq = sr || rq = gr
         in
+        (* One relaxation per frontier, bound once per search like the
+           unidirectional kernel's [step]: the popped cell's [r], [g] and
+           [h] (and the backward frontier's [step_out]) are arguments. *)
+        let[@tqec.hot] step_f r g h vq cq dh =
+          let rq = vq lsr 30 in
+          if traversable rq cq then begin
+            let gq = g + quantum + surcharge rq cq in
+            if
+              Bigarray.Array1.unsafe_get rstamp rq <> gen
+              || Bigarray.Array1.unsafe_get rg rq > gq
+            then begin
+              let fq = gq + h + dh in
+              Bigarray.Array1.unsafe_set rstamp rq gen;
+              Bigarray.Array1.unsafe_set rg rq gq;
+              Bigarray.Array1.unsafe_set rf rq fq;
+              Bigarray.Array1.unsafe_set rparent rq r;
+              ws.n_pushes <- ws.n_pushes + 1;
+              Dialq.push q ~key:fq vq
+            end
+          end
+        in
+        let[@tqec.hot] step_b r g h step_out vq cq dh =
+          let rq = vq lsr 30 in
+          if traversable rq cq then begin
+            let gq = g + step_out in
+            if
+              Bigarray.Array1.unsafe_get rbstamp rq <> gen
+              || Bigarray.Array1.unsafe_get rbg rq > gq
+            then begin
+              let fq = gq + h + dh in
+              Bigarray.Array1.unsafe_set rbstamp rq gen;
+              Bigarray.Array1.unsafe_set rbg rq gq;
+              Bigarray.Array1.unsafe_set rbf rq fq;
+              Bigarray.Array1.unsafe_set rbparent rq r;
+              ws.n_pushes <- ws.n_pushes + 1;
+              Dialq.push qb ~key:fq vq
+            end
+          end
+        in
+        let dx = (1 lsl 30) lor 1
+        and dy = (rnx lsl 30) lor (1 lsl 10)
+        and dz = (rnxy lsl 30) lor (1 lsl 20) in
         let found = ref (-1) in
         let continue_ = ref true in
         let expansions = ref 0 in
@@ -697,33 +751,12 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
                 if fwd then begin
                   let g = Bigarray.Array1.unsafe_get rg r in
                   let h = f - g in
-                  let[@tqec.hot] step vq cq dh =
-                    let rq = vq lsr 30 in
-                    if traversable rq cq then begin
-                      let gq = g + quantum + surcharge rq cq in
-                      if
-                        Bigarray.Array1.unsafe_get rstamp rq <> gen
-                        || Bigarray.Array1.unsafe_get rg rq > gq
-                      then begin
-                        let fq = gq + h + dh in
-                        Bigarray.Array1.unsafe_set rstamp rq gen;
-                        Bigarray.Array1.unsafe_set rg rq gq;
-                        Bigarray.Array1.unsafe_set rf rq fq;
-                        Bigarray.Array1.unsafe_set rparent rq r;
-                        ws.n_pushes <- ws.n_pushes + 1;
-                        Dialq.push q ~key:fq vq
-                      end
-                    end
-                  in
-                  let dx = (1 lsl 30) lor 1
-                  and dy = (rnx lsl 30) lor (1 lsl 10)
-                  and dz = (rnxy lsl 30) lor (1 lsl 20) in
-                  if lx + 1 < rnx then step (v + dx) (c + 1) (if lx >= gx then u else -u);
-                  if lx > 0 then step (v - dx) (c - 1) (if lx <= gx then u else -u);
-                  if ly + 1 < rny then step (v + dy) (c + nx) (if ly >= gy then u else -u);
-                  if ly > 0 then step (v - dy) (c - nx) (if ly <= gy then u else -u);
-                  if lz + 1 < rnz then step (v + dz) (c + nxy) (if lz >= gz then u else -u);
-                  if lz > 0 then step (v - dz) (c - nxy) (if lz <= gz then u else -u)
+                  if lx + 1 < rnx then step_f r g h (v + dx) (c + 1) (if lx >= gx then u else -u);
+                  if lx > 0 then step_f r g h (v - dx) (c - 1) (if lx <= gx then u else -u);
+                  if ly + 1 < rny then step_f r g h (v + dy) (c + nx) (if ly >= gy then u else -u);
+                  if ly > 0 then step_f r g h (v - dy) (c - nx) (if ly <= gy then u else -u);
+                  if lz + 1 < rnz then step_f r g h (v + dz) (c + nxy) (if lz >= gz then u else -u);
+                  if lz > 0 then step_f r g h (v - dz) (c - nxy) (if lz <= gz then u else -u)
                 end
                 else begin
                   let g = Bigarray.Array1.unsafe_get rbg r in
@@ -732,33 +765,18 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
                      pays for entering it: one surcharge per pop, shared by
                      all six relaxations. *)
                   let step_out = quantum + surcharge r c in
-                  let[@tqec.hot] step vq cq dh =
-                    let rq = vq lsr 30 in
-                    if traversable rq cq then begin
-                      let gq = g + step_out in
-                      if
-                        Bigarray.Array1.unsafe_get rbstamp rq <> gen
-                        || Bigarray.Array1.unsafe_get rbg rq > gq
-                      then begin
-                        let fq = gq + h + dh in
-                        Bigarray.Array1.unsafe_set rbstamp rq gen;
-                        Bigarray.Array1.unsafe_set rbg rq gq;
-                        Bigarray.Array1.unsafe_set rbf rq fq;
-                        Bigarray.Array1.unsafe_set rbparent rq r;
-                        ws.n_pushes <- ws.n_pushes + 1;
-                        Dialq.push qb ~key:fq vq
-                      end
-                    end
-                  in
-                  let dx = (1 lsl 30) lor 1
-                  and dy = (rnx lsl 30) lor (1 lsl 10)
-                  and dz = (rnxy lsl 30) lor (1 lsl 20) in
-                  if lx + 1 < rnx then step (v + dx) (c + 1) (if lx >= sx then u else -u);
-                  if lx > 0 then step (v - dx) (c - 1) (if lx <= sx then u else -u);
-                  if ly + 1 < rny then step (v + dy) (c + nx) (if ly >= sy then u else -u);
-                  if ly > 0 then step (v - dy) (c - nx) (if ly <= sy then u else -u);
-                  if lz + 1 < rnz then step (v + dz) (c + nxy) (if lz >= sz then u else -u);
-                  if lz > 0 then step (v - dz) (c - nxy) (if lz <= sz then u else -u)
+                  if lx + 1 < rnx then
+                    step_b r g h step_out (v + dx) (c + 1) (if lx >= sx then u else -u);
+                  if lx > 0 then
+                    step_b r g h step_out (v - dx) (c - 1) (if lx <= sx then u else -u);
+                  if ly + 1 < rny then
+                    step_b r g h step_out (v + dy) (c + nx) (if ly >= sy then u else -u);
+                  if ly > 0 then
+                    step_b r g h step_out (v - dy) (c - nx) (if ly <= sy then u else -u);
+                  if lz + 1 < rnz then
+                    step_b r g h step_out (v + dz) (c + nxy) (if lz >= sz then u else -u);
+                  if lz > 0 then
+                    step_b r g h step_out (v - dz) (c - nxy) (if lz <= sz then u else -u)
                 end
               end
             end
@@ -926,17 +944,20 @@ let init_state ?(restrict_regions = true) ?kernel config placement nets =
      only when the fabric is genuinely congested — they grow the space-time
      volume. The first two layers above the fabric form a cheaper
      over-the-top routing plane. *)
-  let placed_box = Cuboid.of_origin_size Point3.zero ~w ~h ~d in
-  for c = 0 to Grid.size base - 1 do
-    let p = Grid.decode base c in
-    if not (Cuboid.contains_point placed_box p) then begin
-      let in_footprint =
-        p.Point3.x >= 0 && p.Point3.x < d && p.Point3.y >= 0 && p.Point3.y < w
-      in
-      if in_footprint && p.Point3.z >= h && p.Point3.z < h + 2 then
-        ws.history.(c) <- 0.5
-      else ws.history.(c) <- 2.5
-    end
+  let nx, ny, _ = Grid.extents base in
+  for z = lo.Point3.z to hi.Point3.z - 1 do
+    for y = lo.Point3.y to hi.Point3.y - 1 do
+      for x = lo.Point3.x to hi.Point3.x - 1 do
+        let in_footprint = x >= 0 && x < d && y >= 0 && y < w in
+        if not (in_footprint && z >= 0 && z < h) then begin
+          let c =
+            ((((z - lo.Point3.z) * ny) + y - lo.Point3.y) * nx) + x - lo.Point3.x
+          in
+          if in_footprint && z >= h && z < h + 2 then ws.history.(c) <- 0.5
+          else ws.history.(c) <- 2.5
+        end
+      done
+    done
   done;
   let st =
     { ws;

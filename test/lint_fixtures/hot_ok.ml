@@ -16,3 +16,17 @@ let[@tqec.hot] fresh_scratch () =
   (Array.make 16 0)
   [@tqec.allow
     "hot-path-alloc: fixture exercising the amortized-growth escape hatch"]
+
+(* The hoisted shape: the hot step is bound once, above the loop, and the
+   popped cell's value is an argument, so no iteration builds a closure. *)
+let relax_popped dist queue =
+  let n = Array.length dist in
+  let[@tqec.hot] step d w = if w >= 0 && w < n && dist.(w) > d + 1 then dist.(w) <- d + 1 in
+  let i = ref 0 in
+  while !i < Array.length queue do
+    let v = queue.(!i) in
+    let d = dist.(v) in
+    step d (v + 1);
+    step d (v - 1);
+    incr i
+  done

@@ -343,6 +343,15 @@ let findings_for r file rule =
       Filename.basename f.Lint.file = file && String.equal f.Lint.rule rule)
     r.Lint.findings
 
+let message_has sub (f : Lint.finding) =
+  let msg = f.Lint.message in
+  let n = String.length sub in
+  let rec scan i =
+    i + n <= String.length msg
+    && (String.equal (String.sub msg i n) sub || scan (i + 1))
+  in
+  scan 0
+
 let suppressed_for r file rule =
   List.filter
     (fun s ->
@@ -372,18 +381,7 @@ let test_typed_cache_fixtures () =
   let bad = findings_for r "cache_bad.ml" "cache-ambient-read" in
   (* env read, file read, module-level mutable global. *)
   Alcotest.(check int) "three seeded stale-key stages" 3 (List.length bad);
-  let mentions sub =
-    List.exists
-      (fun f ->
-        let msg = f.Lint.message in
-        let n = String.length sub in
-        let rec scan i =
-          i + n <= String.length msg
-          && (String.equal (String.sub msg i n) sub || scan (i + 1))
-        in
-        scan 0)
-      bad
-  in
+  let mentions sub = List.exists (message_has sub) bad in
   Alcotest.(check bool) "env fact surfaced" true (mentions "FIXTURE_BUDGET");
   Alcotest.(check bool) "file fact surfaced" true (mentions "In_channel");
   Alcotest.(check bool) "global fact surfaced" true
@@ -397,13 +395,20 @@ let test_typed_cache_fixtures () =
 let test_typed_hot_fixtures () =
   let r = typed_lint [ "hot_bad.ml"; "hot_ok.ml" ] in
   let bad = findings_for r "hot_bad.ml" "hot-path-alloc" in
-  (* midpoints: List.map + closure; via_helper: transitive ref in callee. *)
-  Alcotest.(check int) "three seeded hot allocations" 3 (List.length bad);
+  (* midpoints: List.map + closure; via_helper: transitive ref in callee;
+     relax_popped / relax_each: a hot step rebuilt in a while / for body. *)
+  Alcotest.(check int) "five seeded hot allocations" 5 (List.length bad);
   Alcotest.(check bool) "transitive finding names the chain" true
     (List.exists
        (fun f ->
          f.Lint.line = 7
          (* the ref inside make_cell, reached from via_helper *))
+       bad);
+  Alcotest.(check (list int)) "per-iteration closures at their binding sites"
+    [ 20; 30 ]
+    (List.filter_map
+       (fun f ->
+         if message_has "every iteration" f then Some f.Lint.line else None)
        bad);
   Alcotest.(check (list string)) "pure-int kernels silent" []
     (List.map
@@ -437,14 +442,7 @@ let test_typed_cmt_missing () =
           Alcotest.(check string) "rule" "cmt-missing" f.Lint.rule;
           Alcotest.(check bool) "typed tier" true (f.Lint.tier = Lint.Typed);
           Alcotest.(check bool) "message says how to build" true
-            (let msg = f.Lint.message in
-             let sub = "dune build" in
-             let n = String.length sub in
-             let rec scan i =
-               i + n <= String.length msg
-               && (String.equal (String.sub msg i n) sub || scan (i + 1))
-             in
-             scan 0)
+            (message_has "dune build" f)
       | l ->
           Alcotest.failf "expected exactly the cmt-missing finding, got %d"
             (List.length l))

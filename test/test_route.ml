@@ -479,6 +479,101 @@ let test_astar_bench_kernels_agree () =
   Alcotest.(check bool) "bench search expands" true (ed > 0);
   Alcotest.(check int) "kernels expand identically" ed er
 
+(* One expansion allocates nothing, in either kernel. Each search floods a
+   40^3 arena toward a terminal walled into a corner, so it expands every
+   reachable cell once (the exact heuristic is consistent) and fails. A
+   first flood sizes the region scratch and the open list's buckets; the
+   second, identical flood is measured. The unidirectional flood runs the
+   Dial kernel's step; the two bidirectional ones, each with a different
+   terminal walled in, run the forward and the backward frontier's steps. *)
+let test_search_allocation_free () =
+  let n = 40 in
+  let corner = p 0 0 0 and far = p (n - 1) (n - 1) (n - 1) in
+  let region = Cuboid.make (p 0 0 0) (p n n n) in
+  let t = Search.make ~lo:(p 0 0 0) ~hi:(p n n n) in
+  List.iter (Search.block t) [ p 1 0 0; p 0 1 0; p 0 0 1 ];
+  let words_per_expansion what search =
+    Alcotest.(check bool) (what ^ ": warm-up flood fails") true (search () = None);
+    let e0 = Search.expansions t in
+    let w0 = Gc.minor_words () in
+    let path = search () in
+    let w1 = Gc.minor_words () in
+    let expansions = Search.expansions t - e0 in
+    Alcotest.(check bool) (what ^ ": flood fails") true (path = None);
+    Alcotest.(check bool) (what ^ ": floods the arena") true
+      (expansions >= (n * n * n) - 4);
+    let per = (w1 -. w0) /. float_of_int expansions in
+    if per >= 0.05 then
+      Alcotest.failf "%s: %.3f minor words per expansion (%d expansions)" what per
+        expansions
+  in
+  words_per_expansion "dial" (fun () ->
+      Search.run ~kernel:Search.Dial ~exact:true t ~region ~starts:[ far ]
+        ~goals:[ corner ] ~target:corner);
+  words_per_expansion "bidir forward" (fun () ->
+      Search.run_bidir ~exact:true t ~region ~start:far ~goal:corner);
+  words_per_expansion "bidir backward" (fun () ->
+      Search.run_bidir ~exact:true t ~region ~start:corner ~goal:far)
+
+(* The routing of one served instance, pinned bit for bit: the
+   route-congested benchmark's options (SA 2000, 60 passes) on a 1-domain
+   pool, so the sequential schedule runs. A change to the search kernels or
+   their scratch must leave the routed layout, its artifact bytes and the
+   search work unchanged. Under TQEC_ROUTE_REFERENCE=1 every successful
+   splice repair is also audited against a full re-search, which adds
+   search work but never changes the routing. *)
+let test_route_pinned_4gt10 () =
+  let module Flow = Tqec_core.Flow in
+  let module Trace = Tqec_obs.Trace in
+  let module Pool = Tqec_prelude.Pool in
+  let noop = Trace.noop in
+  let circuit =
+    Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
+  in
+  let options = Flow.scale_options ~route_iterations:60 Flow.default_options in
+  let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
+  let nets =
+    (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
+      .Flow.Bridging.nets
+  in
+  let placement =
+    (Flow.Placement.run ~trace:noop
+       { Flow.Placement.primal_groups = true;
+         max_group_size = 4;
+         config = options.Flow.place;
+         modular;
+         nets;
+         pool = None })
+      .Flow.Placement.placement
+  in
+  let pool = Pool.create ~domains:1 () in
+  let trace = Trace.root "routing" in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Flow.Routing.run ~trace
+          { Flow.Routing.config = options.Flow.route; placement; nets; pool = Some pool })
+  in
+  Trace.close trace;
+  let reference =
+    match Sys.getenv_opt "TQEC_ROUTE_REFERENCE" with
+    | None | Some "" | Some "0" -> false
+    | Some _ -> true
+  in
+  let expansions, pushes = if reference then (502502, 1108517) else (461001, 1003501) in
+  Alcotest.(check int) "volume" 78720 r.Router.volume;
+  Alcotest.(check int) "iterations_used" 6 r.Router.iterations_used;
+  Alcotest.(check int) "routed_first_iteration" 335 r.Router.routed_first_iteration;
+  Alcotest.(check int) "astar_expansions" expansions
+    (Trace.counter trace "astar_expansions");
+  Alcotest.(check int) "heap_pushes" pushes (Trace.counter trace "heap_pushes");
+  Alcotest.(check int) "bidir_searches" 309 (Trace.counter trace "bidir_searches");
+  Alcotest.(check string) "routing sha256"
+    "4cd9e041a1d778da0ed8c46b1d963f75ea186ebed3e433f11a07efc7e31c5dae"
+    (Tqec_prelude.Hash.sha256_hex
+       (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
+
 let prop_route_random_circuits_valid =
   QCheck.Test.make ~name:"routing validates on random circuits" ~count:8
     QCheck.(list_of_size (QCheck.Gen.int_range 1 8) (int_bound 4))
@@ -513,6 +608,7 @@ let suites =
         Alcotest.test_case "volume covers placement" `Quick
           test_route_volume_covers_placement;
         Alcotest.test_case "without bridging" `Quick test_route_without_bridging;
+        Alcotest.test_case "pinned 4gt10 instance" `Quick test_route_pinned_4gt10;
         QCheck_alcotest.to_alcotest prop_route_random_circuits_valid ] );
     ( "route.kernel",
       [ Alcotest.test_case "dial = reference on pinned arenas" `Quick
@@ -521,7 +617,9 @@ let suites =
         Alcotest.test_case "exact heuristic admissible" `Quick test_heuristic_admissible;
         Alcotest.test_case "expansion budget exact" `Quick test_expansion_budget;
         Alcotest.test_case "astar_bench kernels agree" `Quick
-          test_astar_bench_kernels_agree ] );
+          test_astar_bench_kernels_agree;
+        Alcotest.test_case "expansions allocate nothing" `Quick
+          test_search_allocation_free ] );
     ( "route.bidir",
       [ Alcotest.test_case "simple corridor" `Quick test_bidir_simple_corridor;
         Alcotest.test_case "around a wall" `Quick test_bidir_around_wall;
