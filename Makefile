@@ -8,37 +8,33 @@ build:
 test:
 	dune runtest
 
-# Full gate, staged: build -> tests (incl. a CLI smoke run that must produce
-# a parseable metrics file, and one with TQEC_SA_CHECK=1, which audits the
-# annealer's incremental cost against a full recompute on every move) ->
-# the same tier-1 suite again under a multi-domain pool (TQEC_DOMAINS=2;
-# results must be identical by the Taskpool determinism contract) -> the
-# route/prelude suites once more under the Binheap reference search kernel
-# (TQEC_ROUTE_REFERENCE=1; both kernels must stay green) ->
-# determinism/hot-path lint -> fixed-seed differential fuzzing ->
-# perf/volume/expansion regression gate -> stage-cache contract
-# (cold/warm/reroute).
+# Full gate, staged: build -> tests (both search kernels, the reference one
+# with its splice-repair audit, run inside the tier-1 suite; plus a CLI smoke
+# run that must produce a parseable metrics file, and one with
+# TQEC_SA_CHECK=1, which audits the annealer's incremental cost against a
+# full recompute on every move) -> the same tier-1 suite again under a
+# multi-domain pool (TQEC_DOMAINS=2; results must be identical by the
+# Taskpool determinism contract) -> determinism/hot-path lint -> fixed-seed
+# differential fuzzing -> perf/volume/expansion regression gate ->
+# stage-cache contract (cold/warm/reroute).
 check:
-	@echo "==== check [1/8] build ============================================"
+	@echo "==== check [1/7] build ============================================"
 	dune build
-	@echo "==== check [2/8] tests ============================================"
+	@echo "==== check [2/7] tests ============================================"
 	dune runtest
 	dune exec bin/tqec_compress.exe -- --benchmark 4gt10-v1_81 \
 	  --trace --metrics-json _build/metrics_smoke.json
-	dune exec bin/tqec_metrics_check.exe -- _build/metrics_smoke.json
+	dune exec bin/tqec_gate.exe -- metrics _build/metrics_smoke.json
 	TQEC_SA_CHECK=1 dune exec bin/tqec_compress.exe -- -b 4gt10-v1_81
-	@echo "==== check [3/8] tests (TQEC_DOMAINS=2) ==========================="
+	@echo "==== check [3/7] tests (TQEC_DOMAINS=2) ==========================="
 	TQEC_DOMAINS=2 dune runtest --force
-	@echo "==== check [4/8] tests (TQEC_ROUTE_REFERENCE=1) ==================="
-	TQEC_ROUTE_REFERENCE=1 dune exec test/test_main.exe -- test route
-	TQEC_ROUTE_REFERENCE=1 dune exec test/test_main.exe -- test prelude
-	@echo "==== check [5/8] lint ============================================="
+	@echo "==== check [4/7] lint ============================================="
 	$(MAKE) lint
-	@echo "==== check [6/8] fuzz ============================================="
+	@echo "==== check [5/7] fuzz ============================================="
 	$(MAKE) fuzz
-	@echo "==== check [7/8] perf ============================================="
+	@echo "==== check [6/7] perf ============================================="
 	$(MAKE) perf
-	@echo "==== check [8/8] cache ============================================"
+	@echo "==== check [7/7] cache ============================================"
 	$(MAKE) cache
 	@echo "==== check: all stages passed ====================================="
 
@@ -72,7 +68,7 @@ bench:
 
 # Perf regression gate: rerun the fast benchmark subset in --json mode at
 # TQEC_DOMAINS=1 and TQEC_DOMAINS=4 and fail if any space-time volume drifts
-# from the committed BENCH_pr7.json — which also pins the two runs
+# from the committed BENCH_pr8.json — which also pins the two runs
 # bit-identical to each other, the parallel pipeline's determinism contract —
 # or if the TQEC_DOMAINS=1 run expands more A* nodes than the baseline
 # (times and rates are machine-dependent, reported informationally).
@@ -82,7 +78,7 @@ perf: build
 	  dune exec bench/main.exe -- --json > _build/bench_perf_d1.json
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) TQEC_DOMAINS=4 \
 	  dune exec bench/main.exe -- --json > _build/bench_perf_d4.json
-	dune exec bin/tqec_perf_check.exe -- BENCH_pr8.json \
+	dune exec bin/tqec_gate.exe -- perf BENCH_pr8.json \
 	  _build/bench_perf_d1.json _build/bench_perf_d4.json
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
@@ -90,11 +86,11 @@ perf: build
 # that warm runs hit all four stages with bit-identical volumes and that a
 # routing-only change reuses exactly the first three stage artifacts.
 cache: build
-	rm -rf _build/tqec_cache_check
+	rm -rf _build/tqec_gate_cache
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \
-	  TQEC_CACHE_DIR=_build/tqec_cache_check \
+	  TQEC_CACHE_DIR=_build/tqec_gate_cache \
 	  dune exec bench/main.exe -- --json > _build/bench_cache.json
-	dune exec bin/tqec_cache_check.exe -- _build/bench_cache.json
+	dune exec bin/tqec_gate.exe -- cache _build/bench_cache.json
 
 clean:
 	dune clean

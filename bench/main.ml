@@ -581,7 +581,7 @@ let effort_name () =
   | Tqec_report.Effort.Full -> "full"
 
 (* Volumes are deterministic (fixed seed) and act as the behavior-
-   preservation contract checked by tqec_perf_check; rates and times vary
+   preservation contract checked by `tqec_gate perf`; rates and times vary
    with the machine and are informational.
 
    Schema v2 adds the parallel-execution telemetry: the top-level [domains]
@@ -595,7 +595,7 @@ let effort_name () =
    to hit all four stages) and once more with only the routing config
    changed (expected to reuse the first three stage artifacts). The new
    per-benchmark fields record both hit/miss counters and [volume_warm],
-   which must equal [volume] — the bit-identity contract tqec_cache_check
+   which must equal [volume] — the bit-identity contract `tqec_gate cache`
    gates on. All cache fields are zero when TQEC_CACHE_DIR is unset. *)
 
 type cache_runs = {

@@ -91,9 +91,9 @@ type workspace = {
   mutable rbparent : iarr;    (* backward predecessor, -1 for the goal seed *)
   mutable rbstamp : iarr;     (* backward generation marker *)
   dialq_b : Dialq.t;          (* backward open list *)
-  (* Reference-kernel scratch (the PR 6 shape): grid-indexed arrays and a
-     comparison heap. Exercised only under TQEC_ROUTE_REFERENCE=1, the
-     [Reference] bench variant and the differential tests, so the arrays
+  (* Reference-kernel scratch: grid-indexed arrays and a comparison heap.
+     Exercised only when a caller passes [~kernel:Reference] (the
+     differential tests and the [Reference] bench variant), so the arrays
      start empty and are allocated by the first [search_reference] (see
      [ensure_reference_scratch]): five grid-sized arrays per workspace are
      megabytes that every other routing call would carry for nothing. *)
@@ -109,10 +109,12 @@ type workspace = {
   mutable n_bidir : int;      (* bidirectional searches run *)
 }
 
-let make_workspace grid =
-  let n = Grid.size grid in
+(* Every scratch array starts empty and is sized by the workspace's own
+   first search ([ensure_region_scratch], [ensure_reference_scratch]), so a
+   workspace that never searches never pays for it. *)
+let workspace grid history =
   { grid;
-    history = Array.make n 0.0;
+    history;
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
@@ -138,39 +140,13 @@ let make_workspace grid =
     n_pushes = 0;
     n_bidir = 0 }
 
+let make_workspace grid = workspace grid (Array.make (Grid.size grid) 0.0)
+
 (* Per-domain speculative search scratch: shares [grid] and the [history]
    array physically with the parent workspace (both are only written between
    negotiation passes, never during one), owns every generation-stamped
-   array and both open lists. Region scratch starts empty and is sized on
-   the clone's own first search, so a domain that never searches never
-   pays for it. *)
-let clone_workspace ws =
-  { grid = ws.grid;
-    history = ws.history;
-    rstamp = iarr_make 0;
-    rg = iarr_make 0;
-    rf = iarr_make 0;
-    rparent = iarr_make 0;
-    rgoal = iarr_make 0;
-    rstart = iarr_make 0;
-    rcost = iarr_make 0;
-    rcstamp = iarr_make 0;
-    dialq = Dialq.create ();
-    rbg = iarr_make 0;
-    rbf = iarr_make 0;
-    rbparent = iarr_make 0;
-    rbstamp = iarr_make 0;
-    dialq_b = Dialq.create ();
-    g_score = [||];
-    stamp = [||];
-    parent = [||];
-    goal_mark = [||];
-    start_mark = [||];
-    heap = Binheap.create ();
-    generation = 0;
-    n_expansions = 0;
-    n_pushes = 0;
-    n_bidir = 0 }
+   array and both open lists. *)
+let clone_workspace ws = workspace ws.grid ws.history
 
 (* A fresh array reads as "stamped by generation 0", and generations only
    count up, so late allocation needs no clearing. *)
@@ -829,22 +805,11 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
         end
       end
 
-let search_kernel = function Dial -> search_dial | Reference -> search_reference
-
-(* Kernel selection for [route]: the canonical Dial kernel unless
-   TQEC_ROUTE_REFERENCE is set to a non-empty value other than "0" (the
-   make-check stage that keeps both kernels green in CI). The two kernels
-   implement the same total order over the same cost model, so this switch
-   can never change routed paths, volumes or artifact bytes — which is why
-   it is an environment toggle and not a config field feeding the stage
+(* The two kernels implement the same total order over the same cost model,
+   so the choice can never change routed paths, volumes or artifact bytes —
+   which is why it is an argument and not a config field feeding the stage
    cache key. *)
-let[@tqec.allow
-     "cache-ambient-read: both kernels implement the same total order over \
-      the same cost model, so the toggle can never change routed paths or \
-      artifact bytes (differential fuzz gate)"] env_kernel () =
-  match Sys.getenv_opt "TQEC_ROUTE_REFERENCE" with
-  | None | Some "" | Some "0" -> Dial
-  | Some _ -> Reference
+let search_kernel = function Dial -> search_dial | Reference -> search_reference
 
 (* ------------------------------------------------------------------ *)
 
@@ -927,7 +892,7 @@ let friend_cells st ~config ~region pin =
 (* Grid, workspace and bookkeeping shared by [route] and the benchmark
    hook: blocked module bodies, soft-boundary history surcharges,
    pin->nets map and pre-charged pin mouths. *)
-let init_state ?(restrict_regions = true) ?kernel config placement nets =
+let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets =
   let modular = placement.Place25d.cluster.Tqec_place.Cluster.modular in
   let d, w, h = placement.Place25d.dims in
   let halo = config.region_margin + 2 in
@@ -1018,9 +983,7 @@ let init_state ?(restrict_regions = true) ?kernel config placement nets =
       match Cuboid.intersect box grid_box with Some r -> r | None -> grid_box
     end
   in
-  let search =
-    search_kernel (match kernel with Some k -> k | None -> env_kernel ())
-  in
+  let search = search_kernel kernel in
   let attempt ?(max_expansions = config.max_expansions) ?focus ?clamp
       ?(bidir = false) ~ws ~extra ~present_penalty n =
     let pa = pin_pos n.Bridge.pin_a and pb = pin_pos n.Bridge.pin_b in
@@ -1079,9 +1042,10 @@ let path_bbox = function
         (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1)
         rest
 
-let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
+let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
+    placement nets =
   let st, mouth_owner, pin_pos, region_of, attempt =
-    init_state ?restrict_regions config placement nets
+    init_state ?restrict_regions ~kernel config placement nets
   in
   let ws = st.ws in
   (* Speculative parallel routing only runs on a real multi-domain pool and
@@ -1221,14 +1185,14 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
     (* The victim SET is fixed before any rip-up and is order-independent
        (per-cell arbitration; cascades are idempotent). The LIST order below
        feeds the next pass's stable sort as its tie-break, so it is pinned
-       to the fold order the committed volume baseline (BENCH_pr7.json,
-       4gt4-v0_73 at 151164 under the canonical open-list order) was taken
+       to the fold order the committed volume baseline (BENCH_pr8.json,
+       4gt4-v0_73 at 148512 under the canonical open-list order) was taken
        under: sorting here (List.sort Int.compare) shifts tie-breaks and
        moves the committed volumes. Re-baseline before changing. *)
     (Hashtbl.fold (fun id () acc -> id :: acc) victims [])
     [@tqec.allow
       "hashtbl-unsorted: the victim set is order-independent and the list \
-       order is the tie-break contract pinned by BENCH_pr7.json; sorting it \
+       order is the tie-break contract pinned by BENCH_pr8.json; sorting it \
        changes routing tie-breaks and the committed volume baseline"]
   in
   let first_iter_count = ref 0 in
@@ -1271,9 +1235,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
   let last_splice_cells : (int, (int, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
-  let reference_mode =
-    match env_kernel () with Reference -> true | Dial -> false
-  in
+  let reference_mode = match kernel with Reference -> true | Dial -> false in
   let spliced_reroutes = ref 0 in
   let grid_box = Grid.box st.base in
   (* Reference-mode referee for splice repairs: the structural invariants a
@@ -1441,7 +1403,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
           end
   in
   (* One net's routing step: corridor repair first, full regional search as
-     fallback and — under TQEC_ROUTE_REFERENCE=1 — as the referee a
+     fallback and — under [~kernel:Reference] — as the referee a
      successful repair is audited against. Returns the routing plus whether
      it was spliced. *)
   (* Streak-scaled focus box for a ripped net's full re-search: the latest
@@ -1546,19 +1508,12 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
         Cuboid.union base (Cuboid.inflate !pb infl)
   in
   let iter = ref 0 in
-  let[@tqec.allow
-       "cache-ambient-read: debug progress goes to stderr only and never \
-        touches routed output"] debug =
-    Sys.getenv_opt "TQEC_ROUTE_DEBUG" <> None
-  in
   let total_ripped = ref 0 in
   let abandoned = ref [] in
   let grid_cells = Cuboid.volume (Grid.box st.ws.grid) in
   while !pending <> [] && !iter < config.max_iterations do
     incr iter;
     iterations_used := !iter;
-    if debug then
-      Printf.eprintf "debug: pass %d, %d pending\n%!" !iter (List.length !pending);
     (* Span labels only exist when tracing is live: the sprintf otherwise
        allocated a fresh label per pass just to hand it to the noop sink. *)
     let pass_span =
@@ -1641,8 +1596,6 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
         (max config.region_expand (2 * get_extra n));
       let s = get_fail_streak n.Bridge.net_id + 1 in
       Hashtbl.replace fail_streak n.Bridge.net_id s;
-      if debug && !iter >= config.max_iterations - 1 then
-        Printf.eprintf "debug: net %d UNROUTED (extra %d)\n%!" n.Bridge.net_id (get_extra n);
       (* Give-up rule: a search that failed over a region already spanning
          the whole grid — at the exhaustive last-resort budget [net_budget]
          grants such searches — has exhausted every reachable cell under
@@ -1741,9 +1694,6 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions config placement nets =
     List.iter
       (fun id -> uncommit st id ~requeue:(fun net -> ripped := net :: !ripped))
       victims;
-    if debug && !iter >= config.max_iterations - 1 then
-      List.iter (fun (net : Bridge.net) ->
-        Printf.eprintf "debug: net %d RIPPED\n%!" net.Bridge.net_id) !ripped;
     (* A ripped net must look for a detour next time: grow its region too,
        or it keeps finding the same conflicting corridor. The step scales
        with the net's current rip streak — first and second rips stay
@@ -2013,11 +1963,6 @@ module Search = struct
             let d = dist.(Grid.encode grid p) in
             if d = max_int then None else Some d
 end
-
-let reference_search ?exact ?max_expansions ?present_penalty t ~region ~starts
-    ~goals ~target =
-  Search.run ~kernel:Reference ?exact ?max_expansions ?present_penalty t
-    ~region ~starts ~goals ~target
 
 module Pset = Set.Make (Point3)
 

@@ -40,8 +40,8 @@ type config = {
       (** incremental conflict-local re-routing: a ripped net first repairs
           only its conflict window with a bidirectional corridor search and
           splices the result onto the surviving prefix/suffix; the full
-          regional re-search remains the fallback (and, under
-          TQEC_ROUTE_REFERENCE=1, the referee) *)
+          regional re-search remains the fallback (and, under the
+          [Reference] kernel, the referee) *)
   splice_margin : int;
       (** path cells cut back on each side of the conflict window before a
           splice repair, so the corridor search rejoins smoothly *)
@@ -67,14 +67,15 @@ type kernel = Dial | Reference
     slow, structurally independent Binheap kernel kept as a differential
     referee. Both realize the same documented open-list order — f ascending,
     push order within equal f — over the same cost model, so they return
-    byte-identical paths on every input; the TQEC_ROUTE_REFERENCE=1
-    environment toggle (any value other than "" / "0") forces [Reference]
-    inside {!route} without affecting results or cache keys. *)
+    byte-identical paths on every input. The kernel is picked by argument
+    ({!route}, {!astar_bench}, {!Search.run}), never by the environment, and
+    is not part of {!config}, so it never reaches a stage cache key. *)
 
 val route :
   ?trace:Tqec_obs.Trace.span ->
   ?pool:Tqec_prelude.Pool.t ->
   ?restrict_regions:bool ->
+  ?kernel:kernel ->
   config ->
   Tqec_place.Place25d.placement ->
   Tqec_bridge.Bridge.net list ->
@@ -100,7 +101,13 @@ val route :
     §III-D. The fuzz property [route-restricted-region] pins both modes to
     the same committed segments and volume; production callers (the Flow
     stage) always use the default, so the flag is not part of the routing
-    config fed to stage cache keys. *)
+    config fed to stage cache keys.
+
+    [kernel] (default [Dial]) picks the search kernel. The routed layout is
+    the same for both; [Reference] additionally audits every successful
+    splice repair — its path and the full re-search it replaces must each be
+    axis-connected and simple, or [route] raises — so its search counters
+    exceed [Dial]'s. *)
 
 val astar_bench :
   ?kernel:kernel ->
@@ -209,18 +216,6 @@ module Search : sig
       unreachable or outside the region). The admissibility referee: the
       [exact] heuristic must never exceed it. *)
 end
-
-val reference_search :
-  ?exact:bool ->
-  ?max_expansions:int ->
-  ?present_penalty:float ->
-  Search.t ->
-  region:Tqec_geom.Cuboid.t ->
-  starts:Tqec_geom.Point3.t list ->
-  goals:Tqec_geom.Point3.t list ->
-  target:Tqec_geom.Point3.t ->
-  Tqec_geom.Point3.t list option
-(** {!Search.run} pinned to the PR 6 Binheap kernel — used only by tests. *)
 
 val validate :
   Tqec_place.Place25d.placement -> result -> (unit, string) Stdlib.result

@@ -17,7 +17,6 @@ let () =
     @ Test_place.suites
     @ Test_refine.suites
     @ Test_route.suites
-    @ Test_deform.suites
     @ Test_baseline.suites
     @ Test_core.suites
     @ Test_artifact.suites

@@ -43,7 +43,9 @@ let test_grid_encode_decode () =
 
 (* --- router on real flows --- *)
 
-let routed_flow ?(friend_aware = true) ?(bridging = true) gates ~n =
+(* Every router test runs once per search kernel: the suites below are built
+   by [router_suite] for [Dial] and for [Reference]. *)
+let routed_flow ?(friend_aware = true) ?(bridging = true) ~kernel gates ~n =
   let icm = Tqec_icm.Icm.of_circuit (Circuit.make ~name:"t" ~num_qubits:n gates) in
   let m = Tqec_modular.Modular.of_icm icm in
   let nets = if bridging then (Bridge.run m).Bridge.nets else Bridge.naive_nets m in
@@ -55,23 +57,23 @@ let routed_flow ?(friend_aware = true) ?(bridging = true) gates ~n =
   in
   let placement = Tqec_place.Place25d.place cfg cl nets in
   let rcfg = { Router.default_config with Router.friend_aware } in
-  (placement, nets, Router.route rcfg placement nets)
+  (placement, nets, Router.route ~kernel rcfg placement nets)
 
 let gates_small =
   [ Gate.Cnot { control = 0; target = 1 };
     Gate.Cnot { control = 1; target = 2 };
     Gate.Cnot { control = 0; target = 2 } ]
 
-let test_route_all_nets () =
-  let placement, nets, r = routed_flow gates_small ~n:3 in
+let test_route_all_nets kernel () =
+  let placement, nets, r = routed_flow ~kernel gates_small ~n:3 in
   Alcotest.(check int) "no failures" 0 (List.length r.Router.failed);
   Alcotest.(check int) "all routed" (List.length nets) (List.length r.Router.routed);
   match Router.validate placement r with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_route_paths_avoid_modules () =
-  let placement, _, r = routed_flow gates_small ~n:3 in
+let test_route_paths_avoid_modules kernel () =
+  let placement, _, r = routed_flow ~kernel gates_small ~n:3 in
   let modular = placement.Tqec_place.Place25d.cluster.Tqec_place.Cluster.modular in
   let boxes =
     Array.to_list modular.Tqec_modular.Modular.modules
@@ -105,36 +107,36 @@ let test_route_paths_avoid_modules () =
             interior)
     r.Router.routed
 
-let test_route_deterministic () =
-  let _, _, r1 = routed_flow gates_small ~n:3 in
-  let _, _, r2 = routed_flow gates_small ~n:3 in
+let test_route_deterministic kernel () =
+  let _, _, r1 = routed_flow ~kernel gates_small ~n:3 in
+  let _, _, r2 = routed_flow ~kernel gates_small ~n:3 in
   Alcotest.(check int) "same volume" r1.Router.volume r2.Router.volume;
   Alcotest.(check int) "same routed count" (List.length r1.Router.routed)
     (List.length r2.Router.routed)
 
-let test_route_t_gadget () =
-  let placement, nets, r = routed_flow [ Gate.T 0 ] ~n:2 in
+let test_route_t_gadget kernel () =
+  let placement, nets, r = routed_flow ~kernel [ Gate.T 0 ] ~n:2 in
   Alcotest.(check int) "all nets routed" (List.length nets) (List.length r.Router.routed);
   match Router.validate placement r with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_route_friend_toggle () =
+let test_route_friend_toggle kernel () =
   (* Friend-aware routing must stay valid and never route fewer nets. *)
-  let _, nets_f, rf = routed_flow ~friend_aware:true [ Gate.T 0 ] ~n:2 in
-  let _, _, rn = routed_flow ~friend_aware:false [ Gate.T 0 ] ~n:2 in
+  let _, nets_f, rf = routed_flow ~friend_aware:true ~kernel [ Gate.T 0 ] ~n:2 in
+  let _, _, rn = routed_flow ~friend_aware:false ~kernel [ Gate.T 0 ] ~n:2 in
   Alcotest.(check int) "friend: all routed" (List.length nets_f)
     (List.length rf.Router.routed);
   Alcotest.(check int) "no-friend: all routed" (List.length nets_f)
     (List.length rn.Router.routed)
 
-let test_route_volume_covers_placement () =
-  let placement, _, r = routed_flow gates_small ~n:3 in
+let test_route_volume_covers_placement kernel () =
+  let placement, _, r = routed_flow ~kernel gates_small ~n:3 in
   Alcotest.(check bool) "routed volume >= placed volume" true
     (r.Router.volume >= placement.Tqec_place.Place25d.volume)
 
-let test_route_without_bridging () =
-  let placement, nets, r = routed_flow ~bridging:false gates_small ~n:3 in
+let test_route_without_bridging kernel () =
+  let placement, nets, r = routed_flow ~bridging:false ~kernel gates_small ~n:3 in
   Alcotest.(check int) "9 naive nets" 9 (List.length nets);
   Alcotest.(check int) "all routed" 9 (List.length r.Router.routed);
   match Router.validate placement r with
@@ -211,17 +213,6 @@ let test_kernel_equivalence () =
           Alcotest.(check int) (label "same pushes") hd hr)
         [ false; true ])
     kernel_scenarios
-
-let test_reference_search_alias () =
-  let scenario = List.nth kernel_scenarios 1 in
-  let _, setup, region, starts, goals, target = scenario in
-  let t = Search.make ~lo:(p 0 0 0) ~hi:(p 10 6 3) in
-  setup t;
-  let via_alias = Router.reference_search t ~region ~starts ~goals ~target in
-  let pd, _, _ = run_scenario Search.Dial false scenario in
-  Alcotest.(check (list string)) "reference_search = dial path"
-    (match pd with Some l -> List.map Point3.to_string l | None -> [])
-    (match via_alias with Some l -> List.map Point3.to_string l | None -> [])
 
 (* The exact-admissible heuristic must never exceed the true remaining cost,
    exhaustively checked by backward Dijkstra over every cell of small
@@ -519,10 +510,10 @@ let test_search_allocation_free () =
    route-congested benchmark's options (SA 2000, 60 passes) on a 1-domain
    pool, so the sequential schedule runs. A change to the search kernels or
    their scratch must leave the routed layout, its artifact bytes and the
-   search work unchanged. Under TQEC_ROUTE_REFERENCE=1 every successful
-   splice repair is also audited against a full re-search, which adds
-   search work but never changes the routing. *)
-let test_route_pinned_4gt10 () =
+   search work unchanged. Both kernels produce the same layout and bytes;
+   the reference kernel also audits every successful splice repair against
+   a full re-search, which adds search work but never changes the routing. *)
+let test_route_pinned_4gt10 kernel () =
   let module Flow = Tqec_core.Flow in
   let module Trace = Tqec_obs.Trace in
   let module Pool = Tqec_prelude.Pool in
@@ -551,17 +542,14 @@ let test_route_pinned_4gt10 () =
   let r =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
-        Flow.Routing.run ~trace
-          { Flow.Routing.config = options.Flow.route; placement; nets; pool = Some pool })
+      (fun () -> Router.route ~trace ~pool ~kernel options.Flow.route placement nets)
   in
   Trace.close trace;
-  let reference =
-    match Sys.getenv_opt "TQEC_ROUTE_REFERENCE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
+  let expansions, pushes =
+    match kernel with
+    | Router.Dial -> (461001, 1003501)
+    | Router.Reference -> (502502, 1108517)
   in
-  let expansions, pushes = if reference then (502502, 1108517) else (461001, 1003501) in
   Alcotest.(check int) "volume" 78720 r.Router.volume;
   Alcotest.(check int) "iterations_used" 6 r.Router.iterations_used;
   Alcotest.(check int) "routed_first_iteration" 335 r.Router.routed_first_iteration;
@@ -574,7 +562,7 @@ let test_route_pinned_4gt10 () =
     (Tqec_prelude.Hash.sha256_hex
        (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
 
-let prop_route_random_circuits_valid =
+let prop_route_random_circuits_valid kernel =
   QCheck.Test.make ~name:"routing validates on random circuits" ~count:8
     QCheck.(list_of_size (QCheck.Gen.int_range 1 8) (int_bound 4))
     (fun ops ->
@@ -589,8 +577,29 @@ let prop_route_random_circuits_valid =
             | _ -> Gate.T 0)
           ops
       in
-      let placement, _, r = routed_flow gates ~n:3 in
+      let placement, _, r = routed_flow ~kernel gates ~n:3 in
       r.Router.failed = [] && Router.validate placement r = Ok ())
+
+let router_suite kernel =
+  let name =
+    match kernel with
+    | Router.Dial -> "route.router"
+    | Router.Reference -> "route.router.ref"
+  in
+  ( name,
+    [ Alcotest.test_case "routes all nets" `Quick (test_route_all_nets kernel);
+      Alcotest.test_case "avoids modules" `Quick
+        (test_route_paths_avoid_modules kernel);
+      Alcotest.test_case "deterministic" `Quick (test_route_deterministic kernel);
+      Alcotest.test_case "T gadget" `Quick (test_route_t_gadget kernel);
+      Alcotest.test_case "friend toggle" `Quick (test_route_friend_toggle kernel);
+      Alcotest.test_case "volume covers placement" `Quick
+        (test_route_volume_covers_placement kernel);
+      Alcotest.test_case "without bridging" `Quick
+        (test_route_without_bridging kernel);
+      Alcotest.test_case "pinned 4gt10 instance" `Quick
+        (test_route_pinned_4gt10 kernel);
+      QCheck_alcotest.to_alcotest (prop_route_random_circuits_valid kernel) ] )
 
 let suites =
   [ ( "route.grid",
@@ -599,21 +608,11 @@ let suites =
         Alcotest.test_case "block box" `Quick test_grid_block_box;
         Alcotest.test_case "negative origin" `Quick test_grid_negative_origin;
         Alcotest.test_case "encode/decode" `Quick test_grid_encode_decode ] );
-    ( "route.router",
-      [ Alcotest.test_case "routes all nets" `Quick test_route_all_nets;
-        Alcotest.test_case "avoids modules" `Quick test_route_paths_avoid_modules;
-        Alcotest.test_case "deterministic" `Quick test_route_deterministic;
-        Alcotest.test_case "T gadget" `Quick test_route_t_gadget;
-        Alcotest.test_case "friend toggle" `Quick test_route_friend_toggle;
-        Alcotest.test_case "volume covers placement" `Quick
-          test_route_volume_covers_placement;
-        Alcotest.test_case "without bridging" `Quick test_route_without_bridging;
-        Alcotest.test_case "pinned 4gt10 instance" `Quick test_route_pinned_4gt10;
-        QCheck_alcotest.to_alcotest prop_route_random_circuits_valid ] );
+    router_suite Router.Dial;
+    router_suite Router.Reference;
     ( "route.kernel",
       [ Alcotest.test_case "dial = reference on pinned arenas" `Quick
           test_kernel_equivalence;
-        Alcotest.test_case "reference_search alias" `Quick test_reference_search_alias;
         Alcotest.test_case "exact heuristic admissible" `Quick test_heuristic_admissible;
         Alcotest.test_case "expansion budget exact" `Quick test_expansion_budget;
         Alcotest.test_case "astar_bench kernels agree" `Quick
