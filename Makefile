@@ -70,8 +70,10 @@ bench:
 # TQEC_DOMAINS=1 and TQEC_DOMAINS=4 and fail if any space-time volume drifts
 # from the committed BENCH_pr8.json — which also pins the two runs
 # bit-identical to each other, the parallel pipeline's determinism contract —
-# or if the TQEC_DOMAINS=1 run expands more A* nodes than the baseline
-# (times and rates are machine-dependent, reported informationally).
+# or if either run expands more A* nodes, rips up more nets or takes more
+# negotiation passes than the baseline (routing is sequential, so these
+# counts do not depend on the domain count; times and rates are
+# machine-dependent, reported informationally).
 PERF_SUBSET = 4gt10-v1_81,4gt4-v0_73
 perf: build
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) TQEC_DOMAINS=1 \

@@ -150,9 +150,9 @@ let tiers =
 
 let domains =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for parallel placement chains and speculative
-               routing (default: \\$(b,TQEC_DOMAINS), else 1). Results are
-               bit-identical for every value.")
+         ~doc:"Worker domains for parallel placement chains (default:
+               \\$(b,TQEC_DOMAINS), else 1). Routing is sequential. Results
+               are bit-identical for every value.")
 
 let chains =
   Arg.(value & opt int 1 & info [ "chains" ] ~docv:"K"

@@ -110,12 +110,11 @@ let metrics file =
    current files may be given (e.g. one run at TQEC_DOMAINS=1 and one at
    TQEC_DOMAINS=4); each is held to the same exact-volume contract, which
    also pins them bit-identical to each other — the determinism guarantee
-   of the parallel pipeline. A* expansion counts are equally deterministic,
-   and a run whose domain count matches the baseline's must not expand more
-   nodes than the baseline — the search-efficiency regression gate
-   (speculative multi-domain runs redo work, so the gate only applies at
-   matching domain counts). Times and rates are machine-dependent and
-   reported informationally. *)
+   of the parallel pipeline. A* expansion counts are equally deterministic
+   and, since routing is sequential, independent of the domain count: no
+   run may expand more nodes than the baseline — the search-efficiency
+   regression gate. Times and rates are machine-dependent and reported
+   informationally. *)
 
 (* Schema-v5 fields; absent from older baselines, in which case the
    corresponding gate is skipped. *)
@@ -128,13 +127,12 @@ let float_field b key =
   | Some (Json.Int v) -> float_of_int v
   | Some _ | None -> 0.0
 
-let domains_of json =
-  match Json.member "domains" json with Some (Json.Int d) -> d | _ -> 1
-
-let check_current ~baseline_file ~baseline ~baseline_domains ~drifted current_file =
+let check_current ~baseline_file ~baseline ~drifted current_file =
   let json = read_json current_file in
   let current = benchmarks current_file json in
-  let domains = domains_of json in
+  let domains =
+    match Json.member "domains" json with Some (Json.Int d) -> d | _ -> 1
+  in
   List.iter
     (fun (name, b) ->
       match List.assoc_opt name current with
@@ -146,39 +144,33 @@ let check_current ~baseline_file ~baseline ~baseline_domains ~drifted current_fi
             violation drifted
               "VOLUME DRIFT on %s (%s, domains=%d): baseline %d, current %d"
               name current_file domains vb vc;
-          (* Expansion counts are only comparable between runs doing the
-             same work: speculative passes at higher domain counts expand
-             extra nodes by design. *)
-          if domains = baseline_domains then begin
-            let eb = int_field baseline_file name b "astar_expansions" in
-            let ec = int_field current_file name c "astar_expansions" in
-            if ec > eb then
-              violation drifted
-                "EXPANSION REGRESSION on %s (%s, domains=%d): baseline %d, \
-                 current %d"
-                name current_file domains eb ec;
-            (* Total routing work of the negotiation schedule: the rip-up
-               count and the pass count are as deterministic as the volume,
-               and creeping either up is how expansion wins quietly rot —
-               more (cheaper) searches, more passes. Gate both against the
-               baseline when it records them. *)
-            List.iter
-              (fun key ->
-                match (opt_int_field b key, opt_int_field c key) with
-                | Some vb, Some vc when vc > vb ->
-                    violation drifted
-                      "%s REGRESSION on %s (%s, domains=%d): baseline %d, \
-                       current %d"
-                      (String.uppercase_ascii key) name current_file domains vb
-                      vc
-                | Some _, None ->
-                    violation drifted
-                      "%s missing from %s (benchmark %s) but present in the \
-                       baseline"
-                      key current_file name
-                | _ -> ())
-              [ "total_ripped"; "passes" ]
-          end;
+          let eb = int_field baseline_file name b "astar_expansions" in
+          let ec = int_field current_file name c "astar_expansions" in
+          if ec > eb then
+            violation drifted
+              "EXPANSION REGRESSION on %s (%s, domains=%d): baseline %d, \
+               current %d"
+              name current_file domains eb ec;
+          (* Total routing work of the negotiation schedule: the rip-up
+             count and the pass count are as deterministic as the volume,
+             and creeping either up is how expansion wins quietly rot —
+             more (cheaper) searches, more passes. Gate both against the
+             baseline when it records them. *)
+          List.iter
+            (fun key ->
+              match (opt_int_field b key, opt_int_field c key) with
+              | Some vb, Some vc when vc > vb ->
+                  violation drifted
+                    "%s REGRESSION on %s (%s, domains=%d): baseline %d, \
+                     current %d"
+                    (String.uppercase_ascii key) name current_file domains vb vc
+              | Some _, None ->
+                  violation drifted
+                    "%s missing from %s (benchmark %s) but present in the \
+                     baseline"
+                    key current_file name
+              | _ -> ())
+            [ "total_ripped"; "passes" ];
           let rate key =
             let rb = float_field b key and rc = float_field c key in
             if rb > 0.0 then Printf.sprintf "%.2fx" (rc /. rb) else "n/a"
@@ -194,13 +186,9 @@ let check_current ~baseline_file ~baseline ~baseline_domains ~drifted current_fi
     baseline
 
 let perf baseline_file current_files =
-  let baseline_json = read_json baseline_file in
-  let baseline = benchmarks baseline_file baseline_json in
-  let baseline_domains = domains_of baseline_json in
+  let baseline = benchmarks baseline_file (read_json baseline_file) in
   let drifted = ref 0 in
-  List.iter
-    (check_current ~baseline_file ~baseline ~baseline_domains ~drifted)
-    current_files;
+  List.iter (check_current ~baseline_file ~baseline ~drifted) current_files;
   if !drifted > 0 then
     fail "%d benchmark gate(s) failed against the baseline" !drifted;
   Printf.printf

@@ -227,8 +227,8 @@ module Routing = struct
            ("placement", Codecs.of_placement placement);
            ("nets", Codecs.of_nets nets) ])
 
-  let run ~trace { config; placement; nets; pool } =
-    Router.route ~trace ?pool config placement nets
+  let run ~trace { config; placement; nets; pool = _ } =
+    Router.route ~trace config placement nets
 
   let encode result = Codecs.of_routing result
 
@@ -331,7 +331,7 @@ let run ?(options = default_options) ?trace ?pool ?cache circuit =
       { Routing.config = route_config;
         placement = pl.Placement.placement;
         nets = br.Bridging.nets;
-        pool }
+        pool = None }
   in
   Trace.close root;
   let d, w, h = routing.Router.dims in

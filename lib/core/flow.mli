@@ -95,7 +95,8 @@ module Routing : sig
     placement : Tqec_place.Place25d.placement;
     nets : Tqec_bridge.Bridge.net list;
     pool : Tqec_prelude.Pool.t option;
-        (** domain pool for speculative parallel passes; [None] = global pool *)
+        (** ignored: routing is sequential. Kept so that existing callers
+            that set it still compile; not part of the stage key. *)
   }
 
   type output = Tqec_route.Router.result
@@ -150,8 +151,8 @@ val run :
     fresh live root so the breakdown is always available.
 
     [pool] (default {!Tqec_prelude.Pool.global}, sized by [TQEC_DOMAINS])
-    feeds the parallel placement chains and the speculative routing passes;
-    the compressed result is bit-identical for every pool size.
+    feeds the parallel placement chains (routing is sequential); the
+    compressed result is bit-identical for every pool size.
 
     [cache] consults the artifact store before each stage: on a hit the
     stored artifact is decoded instead of recomputed (bit-identical by the

@@ -93,7 +93,7 @@ let rules =
     ( rule_race,
       Typed,
       "a task closure handed to a Taskpool entry point (parallel_init/\
-       parallel_init_worker/parallel_map/parallel_iteri) writes a mutable \
+       parallel_map/parallel_iteri) writes a mutable \
        location captured from outside the task body; parallel tasks must \
        return results through their slot, not mutate shared state \
        (bit-identity contract, PR 5)" );

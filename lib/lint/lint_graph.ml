@@ -114,8 +114,8 @@ let suffix_matches ~suffixes name =
     suffixes
 
 let pool_entries =
-  [ "Pool.parallel_init"; "Pool.parallel_init_worker"; "Pool.parallel_map";
-    "Pool.parallel_iteri"; "Taskpool.run" ]
+  [ "Pool.parallel_init"; "Pool.parallel_map"; "Pool.parallel_iteri";
+    "Taskpool.run" ]
 
 let env_fns = [ "Sys.getenv"; "Sys.getenv_opt"; "Unix.getenv"; "Unix.environment" ]
 

@@ -4,7 +4,7 @@
 let max_domains = 64
 
 type job = {
-  run : worker:int -> int -> unit;  (* chunk index -> unit, writes results *)
+  run : int -> unit;                (* chunk index -> unit, writes results *)
   nchunks : int;
   next : int Atomic.t;              (* next unclaimed chunk *)
   stop : bool Atomic.t;             (* set on first failure: cancel the rest *)
@@ -52,7 +52,7 @@ let run_chunks pool job ~worker =
       if c >= job.nchunks then continue_ := false
       else begin
         pool.tasks_run.(worker) <- pool.tasks_run.(worker) + 1;
-        try job.run ~worker c
+        try job.run c
         with exn -> record_fail job c exn (Printexc.get_raw_backtrace ())
       end
     end
@@ -142,17 +142,17 @@ let run_job pool job =
   | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ()
 
-let parallel_init_worker pool ?(chunk = 1) n f =
+let parallel_init pool ?(chunk = 1) n f =
   if n < 0 then invalid_arg "Taskpool.parallel_init: negative size";
   let chunk = max 1 chunk in
   let res = Array.make n None in
   let nchunks = (n + chunk - 1) / chunk in
   let job =
     { run =
-        (fun ~worker c ->
+        (fun c ->
           let lo = c * chunk and hi = min n ((c + 1) * chunk) in
           for i = lo to hi - 1 do
-            res.(i) <- Some (f ~worker i)
+            res.(i) <- Some (f i)
           done);
       nchunks;
       next = Atomic.make 0;
@@ -165,9 +165,6 @@ let parallel_init_worker pool ?(chunk = 1) n f =
       | Some v -> v
       | None -> failwith "Taskpool: task result missing (pool misuse)")
     res
-
-let parallel_init pool ?chunk n f =
-  parallel_init_worker pool ?chunk n (fun ~worker:_ i -> f i)
 
 let parallel_map pool ?chunk f arr =
   parallel_init pool ?chunk (Array.length arr) (fun i -> f arr.(i))

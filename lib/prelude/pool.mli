@@ -45,14 +45,6 @@ val parallel_init : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
     [chunk] (default 1) groups that many consecutive indices into one unit
     of claiming — results are identical for every chunk size. *)
 
-val parallel_init_worker :
-  t -> ?chunk:int -> int -> (worker:int -> int -> 'a) -> 'a array
-(** Like {!parallel_init}, but each task also receives the slot index
-    ([0 .. domains-1]) of the domain executing it, for indexing per-domain
-    scratch resources. Which worker runs which task is NOT deterministic;
-    results must not depend on [worker] (scratch must be
-    re-initialized-per-use, e.g. generation-stamped). *)
-
 val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_iteri : t -> ?chunk:int -> (int -> 'a -> unit) -> 'a array -> unit

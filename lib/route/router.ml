@@ -2,7 +2,6 @@ module Point3 = Tqec_geom.Point3
 module Cuboid = Tqec_geom.Cuboid
 module Binheap = Tqec_prelude.Binheap
 module Dialq = Tqec_prelude.Dialq
-module Pool = Tqec_prelude.Pool
 module Trace = Tqec_obs.Trace
 module Bridge = Tqec_bridge.Bridge
 module Modular = Tqec_modular.Modular
@@ -112,9 +111,9 @@ type workspace = {
 (* Every scratch array starts empty and is sized by the workspace's own
    first search ([ensure_region_scratch], [ensure_reference_scratch]), so a
    workspace that never searches never pays for it. *)
-let workspace grid history =
+let workspace grid =
   { grid;
-    history;
+    history = Array.make (Grid.size grid) 0.0;
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
@@ -139,14 +138,6 @@ let workspace grid history =
     n_expansions = 0;
     n_pushes = 0;
     n_bidir = 0 }
-
-let make_workspace grid = workspace grid (Array.make (Grid.size grid) 0.0)
-
-(* Per-domain speculative search scratch: shares [grid] and the [history]
-   array physically with the parent workspace (both are only written between
-   negotiation passes, never during one), owns every generation-stamped
-   array and both open lists. *)
-let clone_workspace ws = workspace ws.grid ws.history
 
 (* A fresh array reads as "stamped by generation 0", and generations only
    count up, so late allocation needs no clearing. *)
@@ -903,7 +894,7 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
     (fun (md : Modular.module_) ->
       Grid.block_box base (Place25d.module_box placement md.Modular.module_id))
     modular.Modular.modules;
-  let ws = make_workspace base in
+  let ws = workspace base in
   (* Soft boundary: cells outside the placed bounding box start with a
      history surcharge, so detours through the halo or the sky are taken
      only when the fabric is genuinely congested — they grow the space-time
@@ -985,7 +976,7 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
   in
   let search = search_kernel kernel in
   let attempt ?(max_expansions = config.max_expansions) ?focus ?clamp
-      ?(bidir = false) ~ws ~extra ~present_penalty n =
+      ?(bidir = false) ~extra ~present_penalty n =
     let pa = pin_pos n.Bridge.pin_a and pb = pin_pos n.Bridge.pin_b in
     let region =
       (* [focus] localizes region growth: instead of inflating the whole
@@ -1033,36 +1024,14 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
   in
   (st, mouth_owner, pin_pos, region_of, attempt)
 
-(* Bounding box of one routed path — the footprint a commit dirties. *)
-let path_bbox = function
-  | [] -> invalid_arg "Router.path_bbox: empty path"
-  | p :: rest ->
-      List.fold_left
-        (fun b q -> Cuboid.union b (Cuboid.of_origin_size q ~w:1 ~h:1 ~d:1))
-        (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1)
-        rest
-
-let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
-    placement nets =
+(* [?pool] is accepted and ignored: routing is one sequential negotiation
+   loop (see router.mli). *)
+let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
+    config placement nets =
   let st, mouth_owner, pin_pos, region_of, attempt =
     init_state ?restrict_regions ~kernel config placement nets
   in
   let ws = st.ws in
-  (* Speculative parallel routing only runs on a real multi-domain pool and
-     never nested inside another pool task (the fuzzer routes from worker
-     domains); otherwise the pass loop below is today's sequential path,
-     byte for byte. *)
-  let pool =
-    if Pool.in_worker () then None
-    else Some (match pool with Some p -> p | None -> Pool.global ())
-  in
-  let speculate = match pool with Some p -> Pool.domains p > 1 | None -> false in
-  let clones =
-    match pool with
-    | Some p when speculate -> Array.init (Pool.domains p) (fun _ -> clone_workspace ws)
-    | Some _ | None -> [||]
-  in
-  let respeculated = ref 0 in
   let modular = placement.Place25d.cluster.Tqec_place.Cluster.modular in
   let net_len n = Point3.manhattan (pin_pos n.Bridge.pin_a) (pin_pos n.Bridge.pin_b) in
   let sorted = List.stable_sort (fun a b -> Int.compare (net_len a) (net_len b)) nets in
@@ -1217,9 +1186,8 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
      touches the kept cells. Only direct arbitration victims are
      candidates: cascade-ripped dependents lost their friend terminal, not
      a path segment, and their surviving prefix would dangle. Candidates
-     are captured between passes and every repair reads only the frozen
-     pre-pass state, so speculative domains and the sequential schedule
-     compute identical results for any domain count. *)
+     are captured between passes, before any rip-up, and read during the
+     next pass. *)
   let splice_info : (int, Point3.t array * (int, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -1229,9 +1197,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
      the same corridor (cheap present-sharing now, mounting history forever)
      — so such a net escalates to the full regional search; a conflict
      elsewhere on the path is an unrelated incident and may be repaired
-     locally. Written only at commit time (the sequential phase), so
-     speculative attempts of a pass read a frozen view of their own net's
-     entry for any domain count. *)
+     locally. Written only at commit time. *)
   let last_splice_cells : (int, (int, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -1264,7 +1230,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
         Hashtbl.add seen c ())
       path
   in
-  let try_splice ~ws ~budget ~present_penalty n =
+  let try_splice ~budget ~present_penalty n =
     (* Streak gate: a net that has lost arbitration twice in a row is
        cycling — its conflict window is the cheapest corridor even at
        mounting history cost — so escalate to the full regional search
@@ -1408,9 +1374,9 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
      it was spliced. *)
   (* Streak-scaled focus box for a ripped net's full re-search: the latest
      conflict window's bounding box, inflated one region step per rip on the
-     current streak (capped to match {!dirty_region}'s cover). First rips
-     stay local; repeat offenders get room exactly where the fight is,
-     instead of a blanket inflation of the whole pin bounding box. *)
+     current streak (capped at three steps). First rips stay local; repeat
+     offenders get room exactly where the fight is, instead of a blanket
+     inflation of the whole pin bounding box. *)
   let focus_of n =
     match Hashtbl.find_opt splice_info n.Bridge.net_id with
     | None -> None
@@ -1468,14 +1434,14 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
           in
           Some (Cuboid.inflate b infl)
   in
-  let attempt_incremental ~ws ~budget ~extra ~present_penalty ?(bidir = false) n =
-    match try_splice ~ws ~budget ~present_penalty n with
+  let attempt_incremental ~budget ~extra ~present_penalty ~bidir n =
+    match try_splice ~budget ~present_penalty n with
     | Some (rn, seg) ->
         if reference_mode then begin
           audit_splice ~what:"spliced repair" n rn.path;
           match
             attempt ~max_expansions:budget ?focus:(focus_of n)
-              ?clamp:(clamp_of n) ~ws ~extra ~present_penalty n
+              ?clamp:(clamp_of n) ~extra ~present_penalty n
           with
           | Some full -> audit_splice ~what:"full re-search" n full.path
           | None -> ()
@@ -1484,28 +1450,10 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
     | None -> (
         match
           attempt ~max_expansions:budget ?focus:(focus_of n)
-            ?clamp:(clamp_of n) ~bidir ~ws ~extra ~present_penalty n
+            ?clamp:(clamp_of n) ~bidir ~extra ~present_penalty n
         with
         | Some rn -> Some (rn, None)
         | None -> None)
-  in
-  (* Speculation dirty-test region: a splice candidate additionally reads
-     occupancy and anchors along its old path and searches a corridor
-     inflated from a window of it — cover the whole path at the maximum
-     corridor inflation (conservative: a hit only re-runs the net against
-     live state). *)
-  let dirty_region n =
-    let base = region_of ~extra:(get_extra n) n in
-    match Hashtbl.find_opt splice_info n.Bridge.net_id with
-    | None -> base
-    | Some (pa, _) ->
-        let infl = config.region_margin + (config.region_expand * 3) in
-        let pb = ref (Cuboid.of_origin_size pa.(0) ~w:1 ~h:1 ~d:1) in
-        Array.iter
-          (fun p ->
-            pb := Cuboid.union !pb (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1))
-          pa;
-        Cuboid.union base (Cuboid.inflate !pb infl)
   in
   let iter = ref 0 in
   let total_ripped = ref 0 in
@@ -1521,10 +1469,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
       else Trace.noop
     in
     let attempted = List.length !pending in
-    let exp_before =
-      ws.n_expansions
-      + Array.fold_left (fun a c -> a + c.n_expansions) 0 clones
-    in
+    let exp_before = ws.n_expansions in
     (* Present-sharing penalty doubles each pass (PathFinder schedule). *)
     let present_penalty = min 24.0 (2.0 ** float_of_int (!iter + 1)) in
     (* Adaptive per-net expansion budget, tightening with the penalty
@@ -1608,59 +1553,15 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
         abandoned := n :: !abandoned
       else unrouted := n :: !unrouted
     in
-    (match pool with
-    | Some p when speculate ->
-        (* Speculative phase: every pending net is routed in parallel against
-           the pre-pass state — occupancy, history, and the committed friend
-           paths are all frozen until the sequential phase below mutates
-           them — each worker domain on its own cloned workspace. *)
-        let pass_nets = Array.of_list !pending in
-        let spec =
-          Pool.parallel_init_worker p (Array.length pass_nets)
-            (fun ~worker i ->
-              let n = pass_nets.(i) in
-              attempt_incremental ~ws:clones.(worker) ~budget:(net_budget n)
-                ~extra:(get_extra n) ~present_penalty ~bidir:(!iter = 1) n)
-        in
-        (* Arbitration phase, sequential in the fixed pending order. A
-           speculative result is exact unless a net committed earlier this
-           pass touched the net's search region: an A* search is a pure
-           function of the costs inside its region plus its terminals, and a
-           commit only changes occupancy/friend terminals on its own path
-           cells. The bounding-box intersection test is conservative — a hit
-           merely re-runs the search against live state, so the final layout
-           equals the sequential schedule's for any domain count. *)
-        let dirty = ref [] in
-        Array.iteri
-          (fun i n ->
-            let clean =
-              let region = dirty_region n in
-              not (List.exists (fun b -> Cuboid.intersect b region <> None) !dirty)
-            in
-            let result =
-              if clean then spec.(i)
-              else begin
-                incr respeculated;
-                attempt_incremental ~ws ~budget:(net_budget n)
-                  ~extra:(get_extra n) ~present_penalty ~bidir:(!iter = 1) n
-              end
-            in
-            match result with
-            | Some ((rn, _) as committed) ->
-                on_committed n committed;
-                dirty := path_bbox rn.path :: !dirty
-            | None -> on_failed n)
-          pass_nets
-    | Some _ | None ->
-        List.iter
-          (fun n ->
-            match
-              attempt_incremental ~ws ~budget:(net_budget n)
-                ~extra:(get_extra n) ~present_penalty ~bidir:(!iter = 1) n
-            with
-            | Some committed -> on_committed n committed
-            | None -> on_failed n)
-          !pending);
+    List.iter
+      (fun n ->
+        match
+          attempt_incremental ~budget:(net_budget n) ~extra:(get_extra n)
+            ~present_penalty ~bidir:(!iter = 1) n
+        with
+        | Some committed -> on_committed n committed
+        | None -> on_failed n)
+      !pending;
     let ripped = ref [] in
     Hashtbl.reset splice_info;
     let conflict_cells : (int, (int, unit) Hashtbl.t) Hashtbl.t =
@@ -1732,11 +1633,7 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
       Trace.incr ~n:(attempted - List.length !unrouted) pass_span "routed";
       Trace.incr ~n:(List.length !unrouted) pass_span "unrouted";
       Trace.incr ~n:(List.length !ripped) pass_span "ripped";
-      let exp_after =
-        ws.n_expansions
-        + Array.fold_left (fun a c -> a + c.n_expansions) 0 clones
-      in
-      Trace.incr ~n:(exp_after - exp_before) pass_span "expansions"
+      Trace.incr ~n:(ws.n_expansions - exp_before) pass_span "expansions"
     end;
     Trace.close pass_span;
     let next = List.rev_append !unrouted !ripped in
@@ -1801,21 +1698,11 @@ let route ?(trace = Trace.noop) ?pool ?restrict_regions ?(kernel = Dial) config
         let bd, bw, bh = Cuboid.dims b in
         ((bd, bw, bh), bd * bw * bh)
   in
-  (* Clone totals are partition-invariant: each net's speculative search cost
-     depends only on the net and the pre-pass state, so the sum over clones
-     is the same for any domain count (though not equal to the sequential
-     path's totals — only volumes are contract, counters are telemetry). *)
-  let spec_expansions =
-    Array.fold_left (fun acc c -> acc + c.n_expansions) 0 clones
-  in
-  let spec_pushes = Array.fold_left (fun acc c -> acc + c.n_pushes) 0 clones in
-  let spec_bidir = Array.fold_left (fun acc c -> acc + c.n_bidir) 0 clones in
   if Trace.enabled trace then begin
-    Trace.incr ~n:(ws.n_expansions + spec_expansions) trace "astar_expansions";
-    Trace.incr ~n:(ws.n_pushes + spec_pushes) trace "heap_pushes";
-    if speculate then Trace.incr ~n:!respeculated trace "nets_respeculated";
+    Trace.incr ~n:ws.n_expansions trace "astar_expansions";
+    Trace.incr ~n:ws.n_pushes trace "heap_pushes";
     Trace.incr ~n:!spliced_reroutes trace "spliced_reroutes";
-    Trace.incr ~n:(ws.n_bidir + spec_bidir) trace "bidir_searches";
+    Trace.incr ~n:ws.n_bidir trace "bidir_searches";
     Trace.incr ~n:!iterations_used trace "ripup_passes";
     Trace.incr ~n:!total_ripped trace "nets_ripped";
     Trace.incr ~n:(List.length stripped) trace "nets_stripped";
@@ -1853,7 +1740,7 @@ let astar_bench ?kernel config placement nets =
           (List.hd nets) nets
       in
       let expansions () = st.ws.n_expansions in
-      let search () = ignore (attempt ~ws:st.ws ~extra:0 ~present_penalty:2.0 longest) in
+      let search () = ignore (attempt ~extra:0 ~present_penalty:2.0 longest) in
       (search, expansions)
 
 (* ------------------------------------------------------------------ *)
@@ -1867,7 +1754,7 @@ module Search = struct
 
   let make ~lo ~hi =
     let grid = Grid.create ~lo ~hi in
-    { ws = make_workspace grid; occ = Array.make (Grid.size grid) 0 }
+    { ws = workspace grid; occ = Array.make (Grid.size grid) 0 }
 
   let block t p = Grid.block_box t.ws.grid (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1)
 

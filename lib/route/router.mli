@@ -84,17 +84,10 @@ val route :
     attempted/routed/unrouted/ripped counters, plus A* expansion, heap-push
     and rip-up totals on [trace] itself. Recording never affects routing.
 
-    When [pool] (default {!Tqec_prelude.Pool.global}) has more than one
-    domain, each negotiation pass first routes every pending net in parallel
-    against the frozen pre-pass state on per-domain workspaces, then commits
-    sequentially in the fixed net order, re-running any net whose search
-    region intersects a path committed earlier in the same pass. The routed
-    layout — paths, volume, rip-up schedule — is bit-identical for every
-    domain count; only the telemetry counters ([astar_expansions],
-    [heap_pushes], [bidir_searches], [nets_respeculated]) reflect the
-    speculative extra work ([spliced_reroutes] counts committed repairs and
-    is itself domain-count-invariant). With a 1-domain pool the sequential
-    path runs unchanged.
+    [pool] is accepted and ignored: routing is one sequential negotiation
+    loop on the calling domain, so the routed layout and every counter are
+    the same for every pool size. The argument remains only for callers
+    that still pass it.
 
     [restrict_regions] (default [true]) is a test hook: [false] searches the
     whole grid for every net instead of the restricted per-net regions of

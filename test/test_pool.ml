@@ -16,7 +16,10 @@ let with_pool ~domains f =
 
 (* Results are a pure function of the task index: every (domains, chunk)
    combination must reproduce Array.init exactly, including chunk sizes
-   that do not divide the task count and chunks larger than the job. *)
+   that do not divide the task count and chunks larger than the job, and
+   must run each task exactly once. Tasks only count their runs; the checks
+   run on the main domain afterwards, because Alcotest's reporter is not
+   domain-safe. *)
 let test_init_ordering () =
   let n = 97 in
   let expected = Array.init n (fun i -> (i * i) - (3 * i)) in
@@ -25,10 +28,16 @@ let test_init_ordering () =
       with_pool ~domains (fun pool ->
           List.iter
             (fun chunk ->
-              let got = Pool.parallel_init pool ~chunk n (fun i -> (i * i) - (3 * i)) in
-              Alcotest.(check bool)
-                (Printf.sprintf "domains=%d chunk=%d" domains chunk)
-                true (got = expected))
+              let runs = Array.init n (fun _ -> Atomic.make 0) in
+              let got =
+                Pool.parallel_init pool ~chunk n (fun i ->
+                    Atomic.incr runs.(i);
+                    (i * i) - (3 * i))
+              in
+              let label = Printf.sprintf "domains=%d chunk=%d" domains chunk in
+              Alcotest.(check bool) label true (got = expected);
+              Alcotest.(check bool) (label ^ ": every task ran once") true
+                (Array.for_all (fun r -> Atomic.get r = 1) runs))
             [ 1; 2; 3; 7; 16; 96; 97; 1000 ]))
     [ 1; 2; 3; 4 ]
 
@@ -52,25 +61,6 @@ let test_iteri_disjoint_writes () =
       Pool.parallel_iteri pool (fun i x -> out.(i) <- x * 2) input;
       Alcotest.(check bool) "iteri wrote every slot" true
         (out = Array.map (fun x -> x * 2) input))
-
-(* Tasks only record their worker slot; the checks run on the main domain
-   afterwards, because Alcotest's reporter is not domain-safe. *)
-let test_init_worker () =
-  with_pool ~domains:3 (fun pool ->
-      let seen = Array.make 64 false in
-      let slots = Array.make 64 (-1) in
-      let got =
-        Pool.parallel_init_worker pool 64 (fun ~worker i ->
-            slots.(i) <- worker;
-            seen.(i) <- true;
-            i * 7)
-      in
-      Alcotest.(check bool) "worker slot in range" true
-        (Array.for_all (fun worker -> worker >= 0 && worker < 3) slots);
-      Alcotest.(check bool) "results by index" true
-        (got = Array.init 64 (fun i -> i * 7));
-      Alcotest.(check bool) "every task ran once" true
-        (Array.for_all Fun.id seen))
 
 (* The first failing chunk (lowest chunk index) wins even when a later
    chunk fails first in wall-clock time, and unclaimed chunks are
@@ -164,9 +154,9 @@ let fig4_circuit () =
 let run_with_domains ~options ~domains circuit =
   with_pool ~domains (fun pool -> Flow.run ~options ~pool circuit)
 
-(* The tentpole guarantee: the compressed layout — volume AND the exact
-   routed geometry — is bit-identical whether the pipeline runs
-   sequentially or on a multi-domain pool (speculative routing active). *)
+(* The determinism guarantee: the compressed layout — volume AND the exact
+   routed geometry — is bit-identical whether the pipeline runs on a
+   1-domain or a multi-domain pool. *)
 let test_flow_bit_identical_across_domains () =
   let circuit = fig4_circuit () in
   let f1 = run_with_domains ~options:fast_options ~domains:1 circuit in
@@ -205,7 +195,6 @@ let suites =
       [ Alcotest.test_case "init ordering under chunk sizes" `Quick test_init_ordering;
         Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
         Alcotest.test_case "iteri disjoint writes" `Quick test_iteri_disjoint_writes;
-        Alcotest.test_case "init_worker slots" `Quick test_init_worker;
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
         Alcotest.test_case "nested fail-fast" `Quick test_nested_fail_fast;
         Alcotest.test_case "in_worker flag" `Quick test_in_worker_flag;

@@ -507,13 +507,15 @@ let test_search_allocation_free () =
       Search.run_bidir ~exact:true t ~region ~start:corner ~goal:far)
 
 (* The routing of one served instance, pinned bit for bit: the
-   route-congested benchmark's options (SA 2000, 60 passes) on a 1-domain
-   pool, so the sequential schedule runs. A change to the search kernels or
-   their scratch must leave the routed layout, its artifact bytes and the
-   search work unchanged. Both kernels produce the same layout and bytes;
-   the reference kernel also audits every successful splice repair against
-   a full re-search, which adds search work but never changes the routing. *)
-let test_route_pinned_4gt10 kernel () =
+   route-congested benchmark's options (SA 2000, 60 passes). A change to the
+   search kernels or their scratch must leave the routed layout, its
+   artifact bytes and the search work unchanged. Both kernels produce the
+   same layout and bytes; the reference kernel also audits every successful
+   splice repair against a full re-search, which adds search work but never
+   changes the routing. Routing is sequential, so the pool passed to
+   [Router.route] changes nothing: every count is pinned for [domains] 1
+   and 3 alike. *)
+let test_route_pinned_4gt10 ~domains kernel () =
   let module Flow = Tqec_core.Flow in
   let module Trace = Tqec_obs.Trace in
   let module Pool = Tqec_prelude.Pool in
@@ -537,7 +539,7 @@ let test_route_pinned_4gt10 kernel () =
          pool = None })
       .Flow.Placement.placement
   in
-  let pool = Pool.create ~domains:1 () in
+  let pool = Pool.create ~domains () in
   let trace = Trace.root "routing" in
   let r =
     Fun.protect
@@ -598,7 +600,9 @@ let router_suite kernel =
       Alcotest.test_case "without bridging" `Quick
         (test_route_without_bridging kernel);
       Alcotest.test_case "pinned 4gt10 instance" `Quick
-        (test_route_pinned_4gt10 kernel);
+        (test_route_pinned_4gt10 ~domains:1 kernel);
+      Alcotest.test_case "pinned 4gt10, 3 domains" `Quick
+        (test_route_pinned_4gt10 ~domains:3 kernel);
       QCheck_alcotest.to_alcotest (prop_route_random_circuits_valid kernel) ] )
 
 let suites =
