@@ -56,8 +56,6 @@ let origin t = t.lo
 
 let blocked_c t c = Bytes.get t.cells c = '\001'
 
-let blocked_unsafe_c t c = Bytes.unsafe_get t.cells c = '\001'
-
 let size t = t.nx * t.ny * t.nz
 
 let encode = index

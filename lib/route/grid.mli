@@ -44,9 +44,3 @@ val origin : t -> Tqec_geom.Point3.t
 
 val blocked_c : t -> int -> bool
 (** Like {!blocked} on an encoded in-bounds cell index. *)
-
-val blocked_unsafe_c : t -> int -> bool
-(** {!blocked_c} without the bounds check — the router's search kernel owns
-    the index arithmetic (and is differentially tested against the fully
-    checked reference kernel). Out-of-range indices are undefined
-    behavior. *)

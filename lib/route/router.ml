@@ -67,6 +67,18 @@ let iarr_zero n =
 type workspace = {
   grid : Grid.t;
   history : float array;      (* PathFinder history cost, grid-indexed *)
+  occ : int array;            (* encoded cell -> #committed nets *)
+  (* Negotiated step-cost field, grid-indexed: the quantized surcharge
+     [trunc (quantum * (history + cost_penalty * occ))] of entering each
+     cell, stored as [lnot surcharge] when the cell is blocked, so one load
+     answers both "traversable?" and "what does it cost?". Built whole by
+     the first production search at a new present penalty
+     ([ensure_cost_field]); afterwards every writer of [occ] or [history]
+     in the negotiation refreshes the cells it touches ([refresh_cost]),
+     and the arena setters invalidate it. [cost_penalty] is the penalty
+     the field was built at, NaN while the field is stale. *)
+  mutable cost : iarr;
+  mutable cost_penalty : float;
   (* Canonical-kernel scratch, region-strided:
        r = (x - rx0) + rnx * ((y - ry0) + rny * (z - rz0)).
      Empty until the workspace's first search, which sizes every array at
@@ -78,8 +90,6 @@ type workspace = {
   mutable rparent : iarr;     (* predecessor region index, -1 for sources *)
   mutable rgoal : iarr;       (* generation-stamped goal-set membership *)
   mutable rstart : iarr;      (* generation-stamped start-set membership *)
-  mutable rcost : iarr;       (* per-cell quantized step surcharge ... *)
-  mutable rcstamp : iarr;     (* ... computed at most once per search *)
   dialq : Dialq.t;            (* bucketed open list keyed on f *)
   (* Bidirectional-kernel scratch: the backward frontier mirrors the forward
      one (own g/f/parent/stamp plus a second Dial queue); [rstamp]/[rbstamp]
@@ -114,14 +124,15 @@ type workspace = {
 let workspace grid =
   { grid;
     history = Array.make (Grid.size grid) 0.0;
+    occ = Array.make (Grid.size grid) 0;
+    cost = iarr_make 0;
+    cost_penalty = Float.nan;
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
     rparent = iarr_make 0;
     rgoal = iarr_make 0;
     rstart = iarr_make 0;
-    rcost = iarr_make 0;
-    rcstamp = iarr_make 0;
     dialq = Dialq.create ();
     rbg = iarr_make 0;
     rbf = iarr_make 0;
@@ -164,13 +175,74 @@ let ensure_region_scratch ws =
     ws.rparent <- iarr_make n;
     ws.rgoal <- iarr_zero n;
     ws.rstart <- iarr_zero n;
-    ws.rcost <- iarr_make n;
-    ws.rcstamp <- iarr_zero n;
     ws.rbg <- iarr_make n;
     ws.rbf <- iarr_make n;
     ws.rbparent <- iarr_make n;
     ws.rbstamp <- iarr_zero n
   end
+
+(* The cost model, one cell's field entry: the same expression on the same
+   inputs as the reference kernel's step cost (minus its [quantum] base),
+   which is why reading the field instead is bit-identical. Needs
+   non-negative history and penalty, so that the sign bit is free for the
+   blocked flag. *)
+let cost_entry ws present_penalty c =
+  let e =
+    int_of_float
+      (float_of_int quantum
+      *. (ws.history.(c) +. (present_penalty *. float_of_int ws.occ.(c))))
+  in
+  if Grid.blocked_c ws.grid c then lnot e else e
+
+(* The surcharge of a field entry, blocked or not: [lnot] undone by xoring
+   the sign mask. *)
+let surcharge e = e lxor (e asr (Sys.int_size - 1))
+
+(* Rebuild the whole field when a search runs at a penalty it was not
+   built at: at most once per negotiation pass. NaN never compares equal,
+   so a stale field always rebuilds. *)
+let ensure_cost_field ws present_penalty =
+  if not (ws.cost_penalty = present_penalty) then begin
+    if not (present_penalty >= 0.0) then
+      invalid_arg "Router: present penalty must be non-negative";
+    let n = Grid.size ws.grid in
+    if Bigarray.Array1.dim ws.cost = 0 then ws.cost <- iarr_make n;
+    for c = 0 to n - 1 do
+      ws.cost.{c} <- cost_entry ws present_penalty c
+    done;
+    ws.cost_penalty <- present_penalty
+  end
+
+(* Re-derive cell [c]'s entry after its [occ] or [history] changed; a
+   stale field is left for the next search to rebuild. *)
+let[@tqec.hot] refresh_cost ws c =
+  let penalty = ws.cost_penalty in
+  if penalty = penalty then ws.cost.{c} <- cost_entry ws penalty c
+
+let invalidate_cost_field ws = ws.cost_penalty <- Float.nan
+
+(* Reference-mode referee for the incremental field updates: a built field
+   must equal, cell for cell, a fresh derivation from [history], [occ] and
+   the grid at its own penalty. Spelled out apart from [cost_entry] so a
+   slip in either shows. *)
+let audit_cost_field ws =
+  let penalty = ws.cost_penalty in
+  if penalty = penalty then
+    for c = 0 to Grid.size ws.grid - 1 do
+      let fresh =
+        int_of_float
+          (float_of_int quantum
+          *. (ws.history.(c) +. (penalty *. float_of_int ws.occ.(c))))
+      in
+      let want = if Grid.blocked_c ws.grid c then lnot fresh else fresh in
+      let got = ws.cost.{c} in
+      if got <> want then
+        failwith
+          (Printf.sprintf
+             "Router: step-cost field at cell %s holds %d, recomputed %d"
+             (Point3.to_string (Grid.decode ws.grid c))
+             got want)
+    done
 
 (* History-aware heuristic floor: every step into a region cell costs at
    least [quantum + trunc (quantum * history)], and the present-sharing term
@@ -225,17 +297,18 @@ let clip_region grid region =
    [u = (quantum + minc) * 3 / 2] (weighted mode, the router default) or
    [u = quantum + minc] (exact-admissible mode, used by the admissibility
    tests), where [minc] is the history floor above. All hot-loop arithmetic
-   is on region-strided indices: g-scores and marks live in the flat
-   [Bigarray] scratch, the per-cell step surcharge is computed at most once
-   per search, and a child's f is derived from its parent's h by a ±u
-   increment instead of re-deriving coordinates.
+   is integer: g-scores and marks live in the flat region-strided
+   [Bigarray] scratch, a neighbor's traversability and step surcharge are
+   one load from the workspace's step-cost field (built or reused by
+   [ensure_cost_field] before the loop), and a child's f is derived from
+   its parent's h by a ±u increment instead of re-deriving coordinates.
 
    [target] anchors the heuristic: goal cells other than [target] may be
    reached before the heuristic predicts; that only costs optimality toward
    friend terminals, never correctness. Starts and goals outside the region
    are ignored. *)
-let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
-    ~goals ~target =
+let search_dial ws ~max_expansions ~present_penalty ~exact ~region ~starts ~goals
+    ~target =
   match clip_region ws.grid region with
   | None -> None
   | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
@@ -248,9 +321,10 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
       let rnx = rx1 - rx0 and rny = ry1 - ry0 and rnz = rz1 - rz0 in
       let rnxy = rnx * rny in
       ensure_region_scratch ws;
+      ensure_cost_field ws present_penalty;
       let rstamp = ws.rstamp and rg = ws.rg and rf = ws.rf in
       let rparent = ws.rparent and rgoal = ws.rgoal and rstart = ws.rstart in
-      let rcost = ws.rcost and rcstamp = ws.rcstamp in
+      let cost = ws.cost in
       let q = ws.dialq in
       Dialq.clear q;
       let nxy = nx * ny in
@@ -311,32 +385,18 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
          Bounds safety: [rq] stays inside the region by the stride checks
          at the call sites, and [cq] tracks [rq] exactly, so the unsafe
          accesses index within the arrays sized by [ensure_region_scratch]
-         and the grid. The reference kernel runs the same searches through
+         and the grid-sized step-cost field. The reference kernel runs the same searches through
          fully checked accesses and the differential suite pins the two
          bit-identical. *)
       let[@tqec.hot] step r g h vq cq dh =
         let rq = vq lsr 30 in
+        let e = Bigarray.Array1.unsafe_get cost cq in
         if
-          (not (Grid.blocked_unsafe_c grid cq))
+          e >= 0
           || Bigarray.Array1.unsafe_get rgoal rq = gen
           || Bigarray.Array1.unsafe_get rstart rq = gen
         then begin
-          let extra =
-            if Bigarray.Array1.unsafe_get rcstamp rq = gen then
-              Bigarray.Array1.unsafe_get rcost rq
-            else begin
-              let e =
-                int_of_float
-                  (float_of_int quantum
-                  *. (Array.unsafe_get ws.history cq
-                     +. (present_penalty *. float_of_int (Array.unsafe_get occ cq))))
-              in
-              Bigarray.Array1.unsafe_set rcstamp rq gen;
-              Bigarray.Array1.unsafe_set rcost rq e;
-              e
-            end
-          in
-          let gq = g + quantum + extra in
+          let gq = g + quantum + surcharge e in
           if
             Bigarray.Array1.unsafe_get rstamp rq <> gen
             || Bigarray.Array1.unsafe_get rg rq > gq
@@ -423,8 +483,8 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~occ ~region ~starts
    pin. *)
 let seq_bits = 21
 
-let search_reference ws ~max_expansions ~present_penalty ~exact ~occ ~region
-    ~starts ~goals ~target =
+let search_reference ws ~max_expansions ~present_penalty ~exact ~region ~starts
+    ~goals ~target =
   match clip_region ws.grid region with
   | None -> None
   | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
@@ -477,6 +537,7 @@ let search_reference ws ~max_expansions ~present_penalty ~exact ~occ ~region
       List.iter
         (fun p -> if in_region p then push_c ~from:(-1) (Grid.encode grid p) 0)
         starts;
+      let occ = ws.occ in
       let step_cost c =
         let o = float_of_int occ.(c) in
         quantum
@@ -550,8 +611,8 @@ let search_reference ws ~max_expansions ~present_penalty ~exact ~occ ~region
    side — relaxing neighbor [q] from popped cell [c] charges the cost of
    entering [c], which is what the forward walker pays when it leaves [q]
    through [c] — so both frontiers price any shared walk identically. *)
-let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
-    ~goal =
+let search_bidir ws ~max_expansions ~present_penalty ~exact ~region ~start ~goal
+    =
   match clip_region ws.grid region with
   | None -> None
   | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
@@ -567,11 +628,12 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
       ensure_region_scratch ws;
       if rnx > 1024 || rny > 1024 || rnz > 1024 then
         invalid_arg "Router: search region exceeds 1024 cells on an axis";
+      ensure_cost_field ws present_penalty;
       let rstamp = ws.rstamp and rg = ws.rg and rf = ws.rf in
       let rparent = ws.rparent in
       let rbstamp = ws.rbstamp and rbg = ws.rbg and rbf = ws.rbf in
       let rbparent = ws.rbparent in
-      let rcost = ws.rcost and rcstamp = ws.rcstamp in
+      let cost = ws.cost in
       let q = ws.dialq and qb = ws.dialq_b in
       Dialq.clear q;
       Dialq.clear qb;
@@ -618,31 +680,14 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
         rbparent.{gr} <- -1;
         Dialq.push qb ~key:(u * dist) (pack_of goal);
         ws.n_pushes <- ws.n_pushes + 2;
-        let surcharge rq cq =
-          if Bigarray.Array1.unsafe_get rcstamp rq = gen then
-            Bigarray.Array1.unsafe_get rcost rq
-          else begin
-            let e =
-              int_of_float
-                (float_of_int quantum
-                *. (Array.unsafe_get ws.history cq
-                   +. (present_penalty *. float_of_int (Array.unsafe_get occ cq))))
-            in
-            Bigarray.Array1.unsafe_set rcstamp rq gen;
-            Bigarray.Array1.unsafe_set rcost rq e;
-            e
-          end
-        in
-        let traversable rq cq =
-          (not (Grid.blocked_unsafe_c grid cq)) || rq = sr || rq = gr
-        in
         (* One relaxation per frontier, bound once per search like the
            unidirectional kernel's [step]: the popped cell's [r], [g] and
            [h] (and the backward frontier's [step_out]) are arguments. *)
         let[@tqec.hot] step_f r g h vq cq dh =
           let rq = vq lsr 30 in
-          if traversable rq cq then begin
-            let gq = g + quantum + surcharge rq cq in
+          let e = Bigarray.Array1.unsafe_get cost cq in
+          if e >= 0 || rq = sr || rq = gr then begin
+            let gq = g + quantum + surcharge e in
             if
               Bigarray.Array1.unsafe_get rstamp rq <> gen
               || Bigarray.Array1.unsafe_get rg rq > gq
@@ -659,7 +704,8 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
         in
         let[@tqec.hot] step_b r g h step_out vq cq dh =
           let rq = vq lsr 30 in
-          if traversable rq cq then begin
+          if Bigarray.Array1.unsafe_get cost cq >= 0 || rq = sr || rq = gr
+          then begin
             let gq = g + step_out in
             if
               Bigarray.Array1.unsafe_get rbstamp rq <> gen
@@ -731,7 +777,9 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~occ ~region ~start
                   (* The forward walker leaving a neighbor through this cell
                      pays for entering it: one surcharge per pop, shared by
                      all six relaxations. *)
-                  let step_out = quantum + surcharge r c in
+                  let step_out =
+                    quantum + surcharge (Bigarray.Array1.unsafe_get cost c)
+                  in
                   if lx + 1 < rnx then
                     step_b r g h step_out (v + dx) (c + 1) (if lx >= sx then u else -u);
                   if lx > 0 then
@@ -807,7 +855,6 @@ let search_kernel = function Dial -> search_dial | Reference -> search_reference
 type state = {
   ws : workspace;
   base : Grid.t;                            (* modules only *)
-  occ : int array;                          (* encoded cell -> #committed nets *)
   cell_owner : (int, int list) Hashtbl.t;   (* encoded cell -> net ids *)
   committed : (int, routed_net) Hashtbl.t;  (* net id -> routed *)
   ends : (int, Point3.t * Point3.t) Hashtbl.t;
@@ -829,7 +876,8 @@ let commit st rn =
       let c = Grid.encode st.ws.grid p in
       let owners = Option.value ~default:[] (Hashtbl.find_opt st.cell_owner c) in
       Hashtbl.replace st.cell_owner c (rn.net.Bridge.net_id :: owners);
-      st.occ.(c) <- st.occ.(c) + 1)
+      st.ws.occ.(c) <- st.ws.occ.(c) + 1;
+      refresh_cost st.ws c)
     rn.path
 
 (* Rip a net up. Nets whose friend terminal rests on the victim's path would
@@ -851,7 +899,8 @@ let rec uncommit st net_id ~requeue =
           in
           if owners = [] then Hashtbl.remove st.cell_owner c
           else Hashtbl.replace st.cell_owner c owners;
-          st.occ.(c) <- st.occ.(c) - 1;
+          st.ws.occ.(c) <- st.ws.occ.(c) - 1;
+          refresh_cost st.ws c;
           (* Another net ending exactly here used this path as its friend
              terminal: it must be re-routed too. *)
           List.iter
@@ -918,7 +967,6 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
   let st =
     { ws;
       base;
-      occ = Array.make (Grid.size base) 0;
       cell_owner = Hashtbl.create 1024;
       committed = Hashtbl.create 256;
       ends = Hashtbl.create 256;
@@ -1014,11 +1062,11 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
              frontiers struggle to meet and unidirectional search with the
              history-aware heuristic wins, so [bidir] is only requested for
              pass 1. *)
-          search_bidir ws ~max_expansions ~present_penalty ~exact:false
-            ~occ:st.occ ~region ~start ~goal
+          search_bidir ws ~max_expansions ~present_penalty ~exact:false ~region
+            ~start ~goal
       | _ ->
-          search ws ~max_expansions ~present_penalty ~exact:false ~occ:st.occ
-            ~region ~starts ~goals ~target:pb
+          search ws ~max_expansions ~present_penalty ~exact:false ~region ~starts
+            ~goals ~target:pb
     in
     match result with Some path -> Some { net = n; path } | None -> None
   in
@@ -1079,6 +1127,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
           | [] | [ _ ] -> ()
           | _ ->
               st.ws.history.(cell) <- st.ws.history.(cell) +. config.history_increment;
+              refresh_cost st.ws cell;
               (* Keep the net that cannot go anywhere else: one whose own pin
                  mouth this cell is; otherwise the earliest-committed. *)
               let mouth_ids =
@@ -1332,8 +1381,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
                   in
                   match
                     search_bidir ws ~max_expansions:budget ~present_penalty
-                      ~exact:false ~occ:st.occ ~region:corridor ~start:a
-                      ~goal:b
+                      ~exact:false ~region:corridor ~start:a ~goal:b
                   with
                   | None -> None
                   | Some seg ->
@@ -1595,6 +1643,9 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     List.iter
       (fun id -> uncommit st id ~requeue:(fun net -> ripped := net :: !ripped))
       victims;
+    (* Every commit, rip-up and history bump of the pass has refreshed the
+       step-cost field; the reference kernel checks each cell of it. *)
+    if reference_mode then audit_cost_field ws;
     (* A ripped net must look for a detour next time: grow its region too,
        or it keeps finding the same conflicting corridor. The step scales
        with the net's current rip streak — first and second rips stay
@@ -1750,42 +1801,49 @@ let astar_bench ?kernel config placement nets =
 module Search = struct
   type nonrec kernel = kernel = Dial | Reference
 
-  type t = { ws : workspace; occ : int array }
+  type t = workspace
 
-  let make ~lo ~hi =
-    let grid = Grid.create ~lo ~hi in
-    { ws = workspace grid; occ = Array.make (Grid.size grid) 0 }
+  let make ~lo ~hi = workspace (Grid.create ~lo ~hi)
 
-  let block t p = Grid.block_box t.ws.grid (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1)
+  (* The setters write the cost inputs behind the negotiation's back, so
+     each one invalidates the step-cost field. *)
+  let block t p =
+    Grid.block_box t.grid (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1);
+    invalidate_cost_field t
 
-  let set_history t p v = t.ws.history.(Grid.encode t.ws.grid p) <- v
+  let set_history t p v =
+    if not (v >= 0.0) then invalid_arg "Router.Search.set_history: negative";
+    t.history.(Grid.encode t.grid p) <- v;
+    invalidate_cost_field t
 
-  let set_occ t p n = t.occ.(Grid.encode t.ws.grid p) <- n
+  let set_occ t p n =
+    if n < 0 then invalid_arg "Router.Search.set_occ: negative";
+    t.occ.(Grid.encode t.grid p) <- n;
+    invalidate_cost_field t
 
-  let expansions t = t.ws.n_expansions
+  let expansions t = t.n_expansions
 
-  let pushes t = t.ws.n_pushes
+  let pushes t = t.n_pushes
 
   let run ?(kernel = Dial) ?(exact = false) ?(max_expansions = 100_000)
       ?(present_penalty = 2.0) t ~region ~starts ~goals ~target =
-    search_kernel kernel t.ws ~max_expansions ~present_penalty ~exact
-      ~occ:t.occ ~region ~starts ~goals ~target
+    search_kernel kernel t ~max_expansions ~present_penalty ~exact ~region
+      ~starts ~goals ~target
 
   let run_bidir ?(exact = false) ?(max_expansions = 100_000)
       ?(present_penalty = 2.0) t ~region ~start ~goal =
-    search_bidir t.ws ~max_expansions ~present_penalty ~exact ~occ:t.occ
-      ~region ~start ~goal
+    search_bidir t ~max_expansions ~present_penalty ~exact ~region ~start ~goal
 
-  let bidir_searches t = t.ws.n_bidir
+  let bidir_searches t = t.n_bidir
 
   let heuristic ?(exact = false) t ~region ~target p =
-    match clip_region t.ws.grid region with
+    match clip_region t.grid region with
     | None -> 0
     | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
-        let nx, ny, _ = Grid.extents t.ws.grid in
+        let nx, ny, _ = Grid.extents t.grid in
         let minc =
-          region_min_surcharge t.ws ~nx ~nxy:(nx * ny) ~rx0 ~ry0 ~rz0 ~rx1
-            ~ry1 ~rz1
+          region_min_surcharge t ~nx ~nxy:(nx * ny) ~rx0 ~ry0 ~rz0 ~rx1 ~ry1
+            ~rz1
         in
         let u = if exact then quantum + minc else (quantum + minc) * 3 / 2 in
         u * Point3.manhattan p target
@@ -1799,7 +1857,7 @@ module Search = struct
      entering the popped cell, so the final distance of [p] is exactly the
      forward cost of the cheapest p -> target walk. *)
   let true_costs ?(present_penalty = 2.0) t ~region ~target =
-    let grid = t.ws.grid in
+    let grid = t.grid in
     match clip_region grid region with
     | None -> fun _ -> None
     | Some (rx0, ry0, rz0, rx1, ry1, rz1) ->
@@ -1810,7 +1868,7 @@ module Search = struct
           quantum
           + int_of_float
               (float_of_int quantum
-              *. (t.ws.history.(c) +. (present_penalty *. float_of_int t.occ.(c))))
+              *. (t.history.(c) +. (present_penalty *. float_of_int t.occ.(c))))
         in
         let tc = Grid.encode grid target in
         let heap = Binheap.create () in

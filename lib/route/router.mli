@@ -100,7 +100,10 @@ val route :
     the same for both; [Reference] additionally audits every successful
     splice repair — its path and the full re-search it replaces must each be
     axis-connected and simple, or [route] raises — so its search counters
-    exceed [Dial]'s. *)
+    exceed [Dial]'s. It also checks, at the end of every pass, each cell of
+    the step-cost field the production kernels read (kept current by
+    commits, rip-ups and history bumps) against a fresh derivation from
+    history, occupancy and the grid, and raises on the first mismatch. *)
 
 val astar_bench :
   ?kernel:kernel ->
@@ -134,11 +137,17 @@ module Search : sig
   (** Empty arena on the half-open box [\[lo, hi)]: nothing blocked, zero
       history, zero occupancy. *)
 
+  (** The setters below change the cost inputs, so each one invalidates the
+      arena's step-cost field: the next [Dial] or bidirectional search
+      rebuilds it, even at an unchanged present penalty. *)
+
   val block : t -> Tqec_geom.Point3.t -> unit
 
   val set_history : t -> Tqec_geom.Point3.t -> float -> unit
+  (** Raises [Invalid_argument] on a negative or NaN history. *)
 
   val set_occ : t -> Tqec_geom.Point3.t -> int -> unit
+  (** Raises [Invalid_argument] on a negative occupancy. *)
 
   val run :
     ?kernel:kernel ->

@@ -150,7 +150,13 @@ module Search = Router.Search
 (* A pinned set of arena scenarios: each builds the same setup twice (the
    arenas own cumulative counters) and must produce byte-identical paths and
    identical expansion/push counts from the Dial and the Binheap reference
-   kernels, in both heuristic modes. *)
+   kernels, in both heuristic modes — searched once on the fresh arena, and
+   once more after each [path_edits] entry changed the middle cell of the
+   first path at the same present penalty. The Dial kernel reads a
+   step-cost field that survives between searches at one penalty, so an
+   arena setter that failed to invalidate it would leave Dial pricing the
+   old cell while the reference kernel, which recomputes every cost, sees
+   the new one. *)
 let kernel_scenarios =
   let wall_maze t =
     (* A y-z wall at x=4 with one gap, plus a second wall at x=7. *)
@@ -187,10 +193,23 @@ let kernel_scenarios =
       [ p 8 4 1 ],
       p 8 4 1 ) ]
 
-let run_scenario kernel exact (_, setup, region, starts, goals, target) =
+let path_edits =
+  [ ("block", Search.block);
+    ("set_occ", fun t cell -> Search.set_occ t cell 3);
+    ("set_history", fun t cell -> Search.set_history t cell 4.0) ]
+
+let run_scenario ?edit kernel exact (_, setup, region, starts, goals, target) =
   let t = Search.make ~lo:(p 0 0 0) ~hi:(p 10 6 3) in
   setup t;
-  let path = Search.run ~kernel ~exact t ~region ~starts ~goals ~target in
+  let search () = Search.run ~kernel ~exact t ~region ~starts ~goals ~target in
+  let path = search () in
+  let path =
+    match (edit, path) with
+    | Some (_, apply), Some cells ->
+        apply t (List.nth cells (List.length cells / 2));
+        search ()
+    | _ -> path
+  in
   (path, Search.expansions t, Search.pushes t)
 
 let test_kernel_equivalence () =
@@ -198,20 +217,29 @@ let test_kernel_equivalence () =
     (fun scenario ->
       let name, _, _, _, _, _ = scenario in
       List.iter
-        (fun exact ->
-          let label s = Printf.sprintf "%s (exact=%b): %s" name exact s in
-          let pd, ed, hd = run_scenario Search.Dial exact scenario in
-          let pr, er, hr = run_scenario Search.Reference exact scenario in
-          (match pd with
-          | None -> Alcotest.fail (label "dial kernel found no path")
-          | Some _ -> ());
-          Alcotest.(check (list string))
-            (label "byte-identical path")
-            (match pd with Some l -> List.map Point3.to_string l | None -> [])
-            (match pr with Some l -> List.map Point3.to_string l | None -> []);
-          Alcotest.(check int) (label "same expansions") ed er;
-          Alcotest.(check int) (label "same pushes") hd hr)
-        [ false; true ])
+        (fun edit ->
+          List.iter
+            (fun exact ->
+              let label s =
+                Printf.sprintf "%s%s (exact=%b): %s" name
+                  (match edit with Some (e, _) -> ", then " ^ e | None -> "")
+                  exact s
+              in
+              let pd, ed, hd = run_scenario ?edit Search.Dial exact scenario in
+              let pr, er, hr =
+                run_scenario ?edit Search.Reference exact scenario
+              in
+              (match (edit, pd) with
+              | None, None -> Alcotest.fail (label "dial kernel found no path")
+              | _ -> ());
+              Alcotest.(check (list string))
+                (label "byte-identical path")
+                (match pd with Some l -> List.map Point3.to_string l | None -> [])
+                (match pr with Some l -> List.map Point3.to_string l | None -> []);
+              Alcotest.(check int) (label "same expansions") ed er;
+              Alcotest.(check int) (label "same pushes") hd hr)
+            [ false; true ])
+        (None :: List.map Option.some path_edits))
     kernel_scenarios
 
 (* The exact-admissible heuristic must never exceed the true remaining cost,
