@@ -9,14 +9,14 @@ test:
 	dune runtest
 
 # Full gate, staged: build -> tests (both search kernels, the reference one
-# with its splice-repair audit, run inside the tier-1 suite; plus a CLI smoke
+# with its step-cost-field audit, run inside the tier-1 suite; plus a CLI smoke
 # run that must produce a parseable metrics file, and one with
 # TQEC_SA_CHECK=1, which audits the annealer's incremental cost against a
 # full recompute on every move) -> the same tier-1 suite again under a
 # multi-domain pool (TQEC_DOMAINS=2; results must be identical by the
 # Taskpool determinism contract) -> determinism/hot-path lint -> fixed-seed
-# differential fuzzing -> perf/volume/expansion regression gate ->
-# stage-cache contract (cold/warm/reroute).
+# differential fuzzing -> validity/perf/volume/expansion regression gate ->
+# stage-cache contract (cold/warm/reroute, valid layouts).
 check:
 	@echo "==== check [1/7] build ============================================"
 	dune build
@@ -67,8 +67,10 @@ bench:
 	dune exec bench/main.exe
 
 # Perf regression gate: rerun the fast benchmark subset in --json mode at
-# TQEC_DOMAINS=1 and TQEC_DOMAINS=4 and fail if any space-time volume drifts
-# from the committed BENCH_pr8.json — which also pins the two runs
+# TQEC_DOMAINS=1 and TQEC_DOMAINS=4 and fail if any layout (the baseline's
+# included) leaves a net unrouted or is rejected by Flow.validate or the
+# Verify oracle, if any space-time volume drifts
+# from the committed BENCH_pr23.json — which also pins the two runs
 # bit-identical to each other, the parallel pipeline's determinism contract —
 # or if either run expands more A* nodes, rips up more nets or takes more
 # negotiation passes than the baseline (routing is sequential, so these
@@ -80,13 +82,14 @@ perf: build
 	  dune exec bench/main.exe -- --json > _build/bench_perf_d1.json
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) TQEC_DOMAINS=4 \
 	  dune exec bench/main.exe -- --json > _build/bench_perf_d4.json
-	dune exec bin/tqec_gate.exe -- perf BENCH_pr8.json \
+	dune exec bin/tqec_gate.exe -- perf BENCH_pr23.json \
 	  _build/bench_perf_d1.json _build/bench_perf_d4.json
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
 # (cold + warm + routing-config-only reruns inside bench --json) and check
-# that warm runs hit all four stages with bit-identical volumes and that a
-# routing-only change reuses exactly the first three stage artifacts.
+# that warm runs hit all four stages with bit-identical volumes, that a
+# routing-only change reuses exactly the first three stage artifacts, and
+# that the uncached, cold and warm layouts are all valid.
 cache: build
 	rm -rf _build/tqec_gate_cache
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \

@@ -596,7 +596,24 @@ let effort_name () =
    changed (expected to reuse the first three stage artifacts). The new
    per-benchmark fields record both hit/miss counters and [volume_warm],
    which must equal [volume] — the bit-identity contract `tqec_gate cache`
-   gates on. All cache fields are zero when TQEC_CACHE_DIR is unset. *)
+   gates on. All cache fields are zero when TQEC_CACHE_DIR is unset.
+
+   Schema v6 adds validity, gated by `tqec_gate perf` and `tqec_gate
+   cache`: per benchmark [unrouted] and the verdicts of Flow.validate
+   ([validate]) and of the Verify oracle ([oracle]), each "ok" or the first
+   error; the same three prefixed [cold_]/[warm_] for cached runs. It drops
+   [spliced_reroutes]. *)
+
+let validity_fields prefix (f : Flow.t) =
+  let module Json = Tqec_obs.Json in
+  let module Verify = Tqec_verify.Verify in
+  let oracle = Verify.verify (Tqec_fuzzing.Props.verify_input_of_flow f) in
+  [ (prefix ^ "unrouted",
+     Json.Int (List.length f.Flow.routing.Tqec_route.Router.failed));
+    (prefix ^ "validate",
+     Json.String (match Flow.validate f with Ok () -> "ok" | Error e -> e));
+    (prefix ^ "oracle",
+     Json.String (Option.value ~default:"ok" (Verify.first_error oracle))) ]
 
 type cache_runs = {
   cold_misses : int;
@@ -606,11 +623,12 @@ type cache_runs = {
   t_warm_total : float;
   reroute_hits : int;
   reroute_misses : int;
+  validity : (string * Tqec_obs.Json.t) list;  (* cold_ and warm_ verdicts *)
 }
 
 let no_cache_runs =
   { cold_misses = 0; warm_hits = 0; warm_misses = 0; volume_warm = 0;
-    t_warm_total = 0.0; reroute_hits = 0; reroute_misses = 0 }
+    t_warm_total = 0.0; reroute_hits = 0; reroute_misses = 0; validity = [] }
 
 let cache_runs_of store prep =
   let options = options_for prep in
@@ -638,7 +656,8 @@ let cache_runs_of store prep =
     volume_warm = warm.Flow.volume;
     t_warm_total = warm.Flow.breakdown.Flow.t_total;
     reroute_hits;
-    reroute_misses }
+    reroute_misses;
+    validity = validity_fields "cold_" cold @ validity_fields "warm_" warm }
 
 let json_mode () =
   let module Json = Tqec_obs.Json in
@@ -669,40 +688,40 @@ let json_mode () =
           | None -> no_cache_runs
         in
         Json.Obj
-          [ ("name", Json.String prep.spec.Benchmarks.name);
-            ("volume", Json.Int f.Flow.volume);
-            ("t_bridging", Json.Float b.Flow.t_bridging);
-            ("t_placement", Json.Float b.Flow.t_placement);
-            ("t_routing", Json.Float b.Flow.t_routing);
-            ("sa_moves", Json.Int sa_moves);
-            ("sa_chains", Json.Int sa_chains);
-            ("sa_moves_per_chain",
-             Json.List (List.map (fun m -> Json.Int m) moves_per_chain));
-            ("sa_moves_per_sec", Json.Float (per_sec sa_moves b.Flow.t_placement));
-            ("astar_expansions", Json.Int expansions);
-            ("heap_pushes", Json.Int (Flow.stage_counter f "routing" "heap_pushes"));
-            ("astar_expansions_per_sec",
-             Json.Float (per_sec expansions b.Flow.t_routing));
-            ("total_ripped", Json.Int (Flow.stage_counter f "routing" "nets_ripped"));
-            ("passes", Json.Int (Flow.stage_counter f "routing" "ripup_passes"));
-            ("spliced_reroutes",
-             Json.Int (Flow.stage_counter f "routing" "spliced_reroutes"));
-            ("bidir_searches",
-             Json.Int (Flow.stage_counter f "routing" "bidir_searches"));
-            ("cold_cache_misses", Json.Int c.cold_misses);
-            ("cache_hits", Json.Int c.warm_hits);
-            ("cache_misses", Json.Int c.warm_misses);
-            ("volume_warm", Json.Int c.volume_warm);
-            ("t_warm_total", Json.Float c.t_warm_total);
-            ("reroute_cache_hits", Json.Int c.reroute_hits);
-            ("reroute_cache_misses", Json.Int c.reroute_misses) ])
+          ([ ("name", Json.String prep.spec.Benchmarks.name);
+             ("volume", Json.Int f.Flow.volume) ]
+           @ validity_fields "" f
+           @ [ ("t_bridging", Json.Float b.Flow.t_bridging);
+               ("t_placement", Json.Float b.Flow.t_placement);
+               ("t_routing", Json.Float b.Flow.t_routing);
+               ("sa_moves", Json.Int sa_moves);
+               ("sa_chains", Json.Int sa_chains);
+               ("sa_moves_per_chain",
+                Json.List (List.map (fun m -> Json.Int m) moves_per_chain));
+               ("sa_moves_per_sec", Json.Float (per_sec sa_moves b.Flow.t_placement));
+               ("astar_expansions", Json.Int expansions);
+               ("heap_pushes", Json.Int (Flow.stage_counter f "routing" "heap_pushes"));
+               ("astar_expansions_per_sec",
+                Json.Float (per_sec expansions b.Flow.t_routing));
+               ("total_ripped", Json.Int (Flow.stage_counter f "routing" "nets_ripped"));
+               ("passes", Json.Int (Flow.stage_counter f "routing" "ripup_passes"));
+               ("bidir_searches",
+                Json.Int (Flow.stage_counter f "routing" "bidir_searches"));
+               ("cold_cache_misses", Json.Int c.cold_misses);
+               ("cache_hits", Json.Int c.warm_hits);
+               ("cache_misses", Json.Int c.warm_misses);
+               ("volume_warm", Json.Int c.volume_warm);
+               ("t_warm_total", Json.Float c.t_warm_total);
+               ("reroute_cache_hits", Json.Int c.reroute_hits);
+               ("reroute_cache_misses", Json.Int c.reroute_misses) ]
+           @ c.validity))
       (Lazy.force flow_preps)
   in
   let pool = Pool.global () in
   print_endline
     (Json.to_string ~pretty:true
        (Json.Obj
-          [ ("schema_version", Json.Int 5);
+          [ ("schema_version", Json.Int 6);
             ("effort", Json.String (effort_name ()));
             ("seed", Json.Int seed);
             ("cache", Json.Bool (Option.is_some cache_store));

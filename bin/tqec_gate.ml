@@ -4,11 +4,11 @@
          a --metrics-json file parses and carries the fields CI gates on;
      tqec_gate perf BASELINE.json CURRENT.json [CURRENT2.json ...]
          fresh `bench/main.exe --json` runs against a committed baseline
-         (BENCH_pr8.json): volumes exact, expansions / rip-ups / passes
-         bounded;
+         (BENCH_pr23.json): every layout valid, volumes exact, expansions /
+         rip-ups / passes bounded;
      tqec_gate cache FILE
          a `bench/main.exe --json` run made with TQEC_CACHE_DIR set keeps
-         the stage-cache contract.
+         the stage-cache contract, with valid cold and warm layouts.
 
    Every gate prints one summary line on stdout and exits 0 when it holds;
    any violation, unreadable input or bad usage is reported on stderr and
@@ -36,6 +36,10 @@ let violation count fmt =
       prerr_endline (tool ^ ": " ^ s))
     fmt
 
+(* The word a per-benchmark summary line ends on: "ok" only when no
+   violation was counted since [before]. *)
+let status count before = if !count = before then "ok" else "FAILED"
+
 let read_json file =
   let contents =
     try In_channel.with_open_text file In_channel.input_all
@@ -61,6 +65,26 @@ let int_field file name b key =
   match Json.member key b with
   | Some (Json.Int v) -> v
   | Some _ | None -> fail "%s: benchmark %s lacks integer field %s" file name key
+
+(* --------------------------------------------------------------- validity *)
+
+(* A perf or cache figure of an invalid layout measures the wrong thing, so
+   both gates hold every run they are given to the bench --json validity
+   fields (schema v6): [<prefix>unrouted] must be 0 and both referees'
+   verdicts, [<prefix>validate] (Flow.validate) and [<prefix>oracle] (the
+   independent Verify oracle), must read "ok". A missing field is a
+   violation too: a file that cannot show its layouts are valid fails. *)
+let check_valid ~file count ~prefix (name, b) =
+  List.iter
+    (fun (key, want) ->
+      match Json.member (prefix ^ key) b with
+      | Some v when Json.equal v want -> ()
+      | Some v ->
+          violation count "INVALID LAYOUT on %s (%s): %s%s = %s" name file prefix
+            key (Json.to_string v)
+      | None -> violation count "%s: benchmark %s lacks field %s%s" file name prefix key)
+    [ ("unrouted", Json.Int 0); ("validate", Json.String "ok");
+      ("oracle", Json.String "ok") ]
 
 (* ---------------------------------------------------------------- metrics *)
 
@@ -105,7 +129,8 @@ let metrics file =
 
 (* ------------------------------------------------------------------- perf *)
 
-(* Space-time volumes are deterministic for a fixed seed and must match the
+(* Every layout, the baseline's included, must be valid (above).
+   Space-time volumes are deterministic for a fixed seed and must match the
    baseline exactly — a drift means the perf work changed behavior. Several
    current files may be given (e.g. one run at TQEC_DOMAINS=1 and one at
    TQEC_DOMAINS=4); each is held to the same exact-volume contract, which
@@ -115,11 +140,6 @@ let metrics file =
    run may expand more nodes than the baseline — the search-efficiency
    regression gate. Times and rates are machine-dependent and reported
    informationally. *)
-
-(* Schema-v5 fields; absent from older baselines, in which case the
-   corresponding gate is skipped. *)
-let opt_int_field b key =
-  match Json.member key b with Some (Json.Int v) -> Some v | _ -> None
 
 let float_field b key =
   match Json.member key b with
@@ -138,47 +158,35 @@ let check_current ~baseline_file ~baseline ~drifted current_file =
       match List.assoc_opt name current with
       | None -> fail "benchmark %s missing from %s" name current_file
       | Some c ->
+          let before = !drifted in
+          check_valid ~file:current_file drifted ~prefix:"" (name, c);
           let vb = int_field baseline_file name b "volume" in
           let vc = int_field current_file name c "volume" in
           if vb <> vc then
             violation drifted
               "VOLUME DRIFT on %s (%s, domains=%d): baseline %d, current %d"
               name current_file domains vb vc;
-          let eb = int_field baseline_file name b "astar_expansions" in
-          let ec = int_field current_file name c "astar_expansions" in
-          if ec > eb then
-            violation drifted
-              "EXPANSION REGRESSION on %s (%s, domains=%d): baseline %d, \
-               current %d"
-              name current_file domains eb ec;
-          (* Total routing work of the negotiation schedule: the rip-up
-             count and the pass count are as deterministic as the volume,
-             and creeping either up is how expansion wins quietly rot —
-             more (cheaper) searches, more passes. Gate both against the
-             baseline when it records them. *)
+          (* Routing work: A* expansions, rip-ups and negotiation passes
+             are as deterministic as the volume, and creeping any of them
+             up is how expansion wins quietly rot — more (cheaper)
+             searches, more passes. *)
           List.iter
             (fun key ->
-              match (opt_int_field b key, opt_int_field c key) with
-              | Some vb, Some vc when vc > vb ->
-                  violation drifted
-                    "%s REGRESSION on %s (%s, domains=%d): baseline %d, \
-                     current %d"
-                    (String.uppercase_ascii key) name current_file domains vb vc
-              | Some _, None ->
-                  violation drifted
-                    "%s missing from %s (benchmark %s) but present in the \
-                     baseline"
-                    key current_file name
-              | _ -> ())
-            [ "total_ripped"; "passes" ];
+              let wb = int_field baseline_file name b key in
+              let wc = int_field current_file name c key in
+              if wc > wb then
+                violation drifted
+                  "%s REGRESSION on %s (%s, domains=%d): baseline %d, current %d"
+                  (String.uppercase_ascii key) name current_file domains wb wc)
+            [ "astar_expansions"; "total_ripped"; "passes" ];
           let rate key =
             let rb = float_field b key and rc = float_field c key in
             if rb > 0.0 then Printf.sprintf "%.2fx" (rc /. rb) else "n/a"
           in
           Printf.printf
-            "%-16s domains=%d volume %d ok; sa_moves/s %.0f (%s vs baseline); \
-             a*_exp/s %.0f (%s vs baseline)\n"
-            name domains vc
+            "%-16s domains=%d volume %d %s; sa_moves/s %.0f (%s vs \
+             baseline); a*_exp/s %.0f (%s vs baseline)\n"
+            name domains vc (status drifted before)
             (float_field c "sa_moves_per_sec")
             (rate "sa_moves_per_sec")
             (float_field c "astar_expansions_per_sec")
@@ -188,12 +196,13 @@ let check_current ~baseline_file ~baseline ~drifted current_file =
 let perf baseline_file current_files =
   let baseline = benchmarks baseline_file (read_json baseline_file) in
   let drifted = ref 0 in
+  List.iter (check_valid ~file:baseline_file drifted ~prefix:"") baseline;
   List.iter (check_current ~baseline_file ~baseline ~drifted) current_files;
   if !drifted > 0 then
     fail "%d benchmark gate(s) failed against the baseline" !drifted;
   Printf.printf
-    "%s: %d benchmark(s) match %s (volumes exact; expansions, rip-ups and \
-     passes bounded) across %d run(s)\n"
+    "%s: %d benchmark(s) match %s (layouts valid; volumes exact; \
+     expansions, rip-ups and passes bounded) across %d run(s)\n"
     tool (List.length baseline) baseline_file
     (List.length current_files)
 
@@ -206,11 +215,13 @@ let perf baseline_file current_files =
      - warm run hits all four stages and recomputes nothing;
      - warm volume is bit-identical to the cold volume;
      - a routing-config-only change reuses the first three stage artifacts
-       (3 hits) and recomputes exactly the routing stage (1 miss). *)
+       (3 hits) and recomputes exactly the routing stage (1 miss);
+     - the uncached, cold and warm layouts are all valid (schema v6). *)
 
 let stages = 4
 
 let check_benchmark ~file failed (name, b) =
+  let before = !failed in
   let field = int_field file name b in
   let expect key want =
     let got = field key in
@@ -222,12 +233,16 @@ let check_benchmark ~file failed (name, b) =
   expect "volume_warm" (field "volume");
   expect "reroute_cache_hits" (stages - 1);
   expect "reroute_cache_misses" 1;
+  List.iter
+    (fun prefix -> check_valid ~file failed ~prefix (name, b))
+    [ ""; "cold_"; "warm_" ];
   Printf.printf
-    "%-16s cold misses %d, warm hits %d, reroute hits/misses %d/%d, warm volume %d ok\n"
+    "%-16s cold misses %d, warm hits %d, reroute hits/misses %d/%d, warm \
+     volume %d %s\n"
     name (field "cold_cache_misses") (field "cache_hits")
     (field "reroute_cache_hits")
     (field "reroute_cache_misses")
-    (field "volume_warm")
+    (field "volume_warm") (status failed before)
 
 let cache file =
   let json = read_json file in

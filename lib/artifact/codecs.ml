@@ -473,6 +473,4 @@ let of_route_config (c : Router.config) =
       ("history_increment", Json.Float c.Router.history_increment);
       ("sky", Json.Int c.Router.sky);
       ("friend_aware", Json.Bool c.Router.friend_aware);
-      ("max_expansions", Json.Int c.Router.max_expansions);
-      ("splice", Json.Bool c.Router.splice);
-      ("splice_margin", Json.Int c.Router.splice_margin) ]
+      ("max_expansions", Json.Int c.Router.max_expansions) ]

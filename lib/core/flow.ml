@@ -209,11 +209,10 @@ module Routing = struct
 
   let name = "routing"
 
-  (* 3: PR8 negotiation-schedule overhaul — incremental conflict-local
-     splice repairs, adaptive pass budgets and streak-scaled region growth
-     change routed paths, so cached routings from earlier versions are not
-     reproducible by the current code (2: PR7 search-kernel rework). *)
-  let version = "3"
+  (* 4: splice repairs and the corridor clamp deleted, with the config's
+     two splice fields (3: negotiation-schedule overhaul; 2: search-kernel
+     rework). Cached routings of earlier versions are not reproducible. *)
+  let version = "4"
 
   let key { config; placement; nets; pool = _ } =
     let cluster = placement.Place25d.cluster in

@@ -310,62 +310,6 @@ let restricted_region ~max_qubits ~max_gates =
         && vf >= placement.Tqec_place.Place25d.volume
         && 10 * max vr vf <= 13 * min vr vf )
 
-(* --- incremental conflict-local re-routing (PR8 schedule work) --- *)
-
-(* Splice repairs change the negotiation schedule, not the contract: a
-   corridor repair commits a different (locally rebuilt) path than a full
-   regional re-search would, so equal-cost choices, the rip-up order, and
-   the final volume all drift between the modes — byte-identity is
-   deliberately not claimed, mirroring [route-restricted-region]. What the
-   differential run pins is that the splice machinery (window extraction,
-   corridor search, prefix/suffix gluing, cycling gates) never corrupts a
-   layout: with splicing on and off, both runs produce geometry the full
-   validator accepts, cover the placement, and stay within the same 1.3x
-   volume envelope (observed drift is a few percent, either direction —
-   4gt4 at fast effort lands 1.8% BELOW the unspliced volume). *)
-let splice_equivalence ~max_qubits ~max_gates =
-  Prop
-    ( "route-splice-equivalence",
-      salted_arbitrary ~max_qubits ~max_gates,
-      fun (c, salt) ->
-        let options = options_with_seed salt in
-        let trace = Tqec_obs.Trace.noop in
-        let pre = Flow.Preprocess.run ~trace c in
-        let br =
-          Flow.Bridging.run ~trace
-            { Flow.Bridging.bridging = options.Flow.bridging;
-              modular = pre.Flow.Preprocess.modular }
-        in
-        let pl =
-          Flow.Placement.run ~trace
-            { Flow.Placement.primal_groups = options.Flow.primal_groups;
-              max_group_size = options.Flow.max_group_size;
-              config = options.Flow.place;
-              modular = pre.Flow.Preprocess.modular;
-              nets = br.Flow.Bridging.nets;
-              pool = None }
-        in
-        let rcfg =
-          { options.Flow.route with
-            Tqec_route.Router.friend_aware =
-              options.Flow.friend_aware && options.Flow.bridging;
-            max_iterations = Router.default_config.Router.max_iterations }
-        in
-        let placement = pl.Flow.Placement.placement in
-        let nets = br.Flow.Bridging.nets in
-        let spliced = Router.route rcfg placement nets in
-        let unspliced =
-          Router.route { rcfg with Router.splice = false } placement nets
-        in
-        let valid r =
-          match Router.validate placement r with Ok () -> true | Error _ -> false
-        in
-        let vs = spliced.Router.volume and vu = unspliced.Router.volume in
-        valid spliced && valid unspliced
-        && vs >= placement.Tqec_place.Place25d.volume
-        && vu >= placement.Tqec_place.Place25d.volume
-        && 10 * max vs vu <= 13 * min vs vu )
-
 let all ~max_qubits ~max_gates =
   [ semantics ~max_qubits ~max_gates;
     volume ~max_qubits ~max_gates;
@@ -374,8 +318,7 @@ let all ~max_qubits ~max_gates =
     incremental_cost ~max_qubits ~max_gates;
     artifact_roundtrip ~max_qubits ~max_gates;
     cache_warm_identity ~max_qubits ~max_gates;
-    restricted_region ~max_qubits ~max_gates;
-    splice_equivalence ~max_qubits ~max_gates ]
+    restricted_region ~max_qubits ~max_gates ]
 
 let run_prop ?count ?seed (Prop (n, arb, f)) =
   Property.run ?count ?seed ~name:n arb f

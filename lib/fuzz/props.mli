@@ -79,18 +79,8 @@ val restricted_region : max_qubits:int -> max_gates:int -> prop
     frontier, so segments, the rip-up schedule, and occasionally the final
     volume (a few percent, either direction) drift between the modes. *)
 
-val splice_equivalence : max_qubits:int -> max_gates:int -> prop
-(** [route-splice-equivalence]: incremental conflict-local re-routing
-    ({!Tqec_route.Router.config.splice}) never corrupts a layout — routing a
-    real placement with splice repairs on and off both produce geometry the
-    full validator accepts, with volumes covering the placement and within a
-    1.3x envelope of each other. Byte-identity is deliberately not claimed:
-    a corridor repair commits a different path than the full regional
-    re-search would, so the rip-up schedule and the final volume drift a few
-    percent, either direction, between the modes. *)
-
 val all : max_qubits:int -> max_gates:int -> prop list
-(** The nine properties, in the order above. *)
+(** The eight properties, in the order above. *)
 
 val run_prop :
   ?count:int -> ?seed:int -> prop -> Tqec_proptest.Property.outcome

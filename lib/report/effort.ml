@@ -9,7 +9,7 @@ let level () =
 let options_for ?level:(lvl = level ()) ~gates () =
   let sa_iterations, route_iterations =
     match lvl with
-    | Fast -> (1500, 10)
+    | Fast -> (1500, 30)
     | Normal ->
         if gates <= 400 then (30000, 30)
         else if gates <= 1500 then (15000, 30)

@@ -15,8 +15,6 @@ type config = {
   sky : int;
   friend_aware : bool;
   max_expansions : int;
-  splice : bool;
-  splice_margin : int;
 }
 
 let default_config =
@@ -26,9 +24,7 @@ let default_config =
     history_increment = 3.0;
     sky = 6;
     friend_aware = true;
-    max_expansions = 100_000;
-    splice = true;
-    splice_margin = 4 }
+    max_expansions = 100_000 }
 
 type routed_net = { net : Bridge.net; path : Point3.t list }
 
@@ -815,10 +811,10 @@ let search_bidir ws ~max_expansions ~present_penalty ~exact ~region ~start ~goal
           in
           let walk = back !found [] @ List.rev (tail rbparent.{!found} []) in
           (* The two chains are individually simple but may cross each other;
-             loop-erase so callers can splice the result into committed paths
-             without re-checking simplicity. Truncating back to the first
-             visit of a repeated cell keeps contiguity: the survivor is the
-             repeated cell itself, adjacent to the next walk cell. *)
+             loop-erase so the result commits as a simple path without
+             re-checking. Truncating back to the first visit of a repeated
+             cell keeps contiguity: the survivor is the repeated cell
+             itself, adjacent to the next walk cell. *)
           let seen = Hashtbl.create 64 in
           let kept = ref [] in
           let len = ref 0 in
@@ -1023,33 +1019,21 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
     end
   in
   let search = search_kernel kernel in
-  let attempt ?(max_expansions = config.max_expansions) ?focus ?clamp
+  let attempt ?(max_expansions = config.max_expansions) ?focus
       ?(bidir = false) ~extra ~present_penalty n =
     let pa = pin_pos n.Bridge.pin_a and pb = pin_pos n.Bridge.pin_b in
     let region =
       (* [focus] localizes region growth: instead of inflating the whole
          pin bounding box for a repeatedly ripped net, the caller passes
          the inflated neighbourhood of the net's latest conflict window
-         and the search widens only there. [clamp] goes the other way — it
-         caps the region to a caller-proven corridor (both terminals must
-         lie inside it); the cap only applies while it actually intersects
-         the grown region, so failure-driven growth still wins in the
-         limit. *)
+         and the search widens only there. *)
       let base = region_of ~extra n in
-      let widened =
-        match focus with
-        | None -> base
-        | Some box -> (
-            match Cuboid.intersect (Cuboid.union base box) grid_box with
-            | Some r -> r
-            | None -> base)
-      in
-      match clamp with
-      | None -> widened
+      match focus with
+      | None -> base
       | Some box -> (
-          match Cuboid.intersect widened box with
+          match Cuboid.intersect (Cuboid.union base box) grid_box with
           | Some r -> r
-          | None -> widened)
+          | None -> base)
     in
     let starts = pa :: friend_cells st ~config ~region n.Bridge.pin_a in
     let goals = pb :: friend_cells st ~config ~region n.Bridge.pin_b in
@@ -1197,20 +1181,20 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     [@tqec.allow
       "hashtbl-unsorted: order-insensitive — each cell's arbitration looks \
        only at that cell's owners, history increments add the same constant \
-       (commutative), recorded conflict cells form per-victim SETS (queried \
-       for membership and bounding box only), and the victim set is sorted \
-       before use below"];
+       (commutative), recorded conflict cells fold into per-victim bounding \
+       boxes (union is commutative and associative), and the victim list \
+       order is pinned separately below"];
     (* The victim SET is fixed before any rip-up and is order-independent
        (per-cell arbitration; cascades are idempotent). The LIST order below
        feeds the next pass's stable sort as its tie-break, so it is pinned
-       to the fold order the committed volume baseline (BENCH_pr8.json,
+       to the fold order the committed volume baseline (BENCH_pr23.json,
        4gt4-v0_73 at 148512 under the canonical open-list order) was taken
        under: sorting here (List.sort Int.compare) shifts tie-breaks and
        moves the committed volumes. Re-baseline before changing. *)
     (Hashtbl.fold (fun id () acc -> id :: acc) victims [])
     [@tqec.allow
       "hashtbl-unsorted: the victim set is order-independent and the list \
-       order is the tie-break contract pinned by BENCH_pr8.json; sorting it \
+       order is the tie-break contract pinned by BENCH_pr23.json; sorting it \
        changes routing tie-breaks and the committed volume baseline"]
   in
   let first_iter_count = ref 0 in
@@ -1224,284 +1208,25 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
      grown region means the search is paid in full either way. *)
   let fail_streak : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let get_fail_streak id = Option.value ~default:0 (Hashtbl.find_opt fail_streak id) in
-  (* ---------------- incremental conflict-local re-routing ------------- *)
-  (* When a net loses arbitration, its path is usually invalidated only
-     inside a small conflict window. Remember the old path and the cells it
-     actually lost on; next pass the net first repairs just that window — a
-     bidirectional corridor search between the surviving prefix and suffix,
-     spliced back onto them — and falls back to the full regional search
-     when the window spans the whole path, an endpoint anchor died with
-     another rip, the corridor yields nothing, or the repaired segment
-     touches the kept cells. Only direct arbitration victims are
-     candidates: cascade-ripped dependents lost their friend terminal, not
-     a path segment, and their surviving prefix would dangle. Candidates
-     are captured between passes, before any rip-up, and read during the
-     next pass. *)
-  let splice_info : (int, Point3.t array * (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  (* For nets whose current committed path came from a splice: the repaired
-     segment's cells. A repair that is ripped again ON ITS OWN REPAIR has
-     proven the conflict is not local — splicing there again would cycle
-     the same corridor (cheap present-sharing now, mounting history forever)
-     — so such a net escalates to the full regional search; a conflict
-     elsewhere on the path is an unrelated incident and may be repaired
-     locally. Written only at commit time. *)
-  let last_splice_cells : (int, (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let reference_mode = match kernel with Reference -> true | Dial -> false in
-  let spliced_reroutes = ref 0 in
-  let grid_box = Grid.box st.base in
-  (* Reference-mode referee for splice repairs: the structural invariants a
-     repair shares with any valid routing — axis-contiguity and simplicity —
-     checked on the spliced path and, when it succeeds, on the full
-     re-search the splice replaced (equivalence of validity). Violations
-     raise: differential mode exists to crash loudly, never to alter the
-     routed outcome. *)
-  let audit_splice ~what (n : Bridge.net) path =
-    let rec contiguous = function
-      | a :: (b :: _ as rest) -> Point3.manhattan a b = 1 && contiguous rest
-      | [ _ ] | [] -> true
-    in
-    if not (contiguous path) then
-      failwith
-        (Printf.sprintf "Router: %s of net %d is not axis-connected" what
-           n.Bridge.net_id);
-    let seen = Hashtbl.create 64 in
-    List.iter
-      (fun p ->
-        let c = Grid.encode st.ws.grid p in
-        if Hashtbl.mem seen c then
-          failwith
-            (Printf.sprintf "Router: %s of net %d revisits a cell" what
-               n.Bridge.net_id);
-        Hashtbl.add seen c ())
-      path
-  in
-  let try_splice ~budget ~present_penalty n =
-    (* Streak gate: a net that has lost arbitration twice in a row is
-       cycling — its conflict window is the cheapest corridor even at
-       mounting history cost — so escalate to the full regional search
-       (whose region growth finds genuine detours) instead of splicing the
-       same contested cells back in until the pass budget dies. *)
-    if (not config.splice) || streak n.Bridge.net_id >= 2 then None
-    else
-      match Hashtbl.find_opt splice_info n.Bridge.net_id with
-      | None -> None
-      | Some (pa, cells) ->
-          let len = Array.length pa in
-          let cycling =
-            match Hashtbl.find_opt last_splice_cells n.Bridge.net_id with
-            | None -> false
-            | Some prev ->
-                (Hashtbl.fold (fun c () hit -> hit || Hashtbl.mem prev c) cells
-                   false
-                 [@tqec.allow
-                   "hashtbl-unsorted: order-insensitive — boolean OR of a \
-                    membership test over the cell set is commutative and \
-                    associative, so the fold order cannot change the result"])
-          in
-          if cycling || len < 3 then None
-          else begin
-            (* Conflict window in old-path indices, padded by the splice
-               margin so the repair rejoins smoothly. *)
-            let i0 = ref max_int and i1 = ref (-1) in
-            Array.iteri
-              (fun i p ->
-                if Hashtbl.mem cells (Grid.encode st.ws.grid p) then begin
-                  if i < !i0 then i0 := i;
-                  if i > !i1 then i1 := i
-                end)
-              pa;
-            if !i1 < 0 then None
-            else begin
-              let j0 = max 0 (!i0 - config.splice_margin)
-              and j1 = min (len - 1) (!i1 + config.splice_margin) in
-              if j0 = 0 && j1 = len - 1 then None
-              else begin
-                (* The kept ends must still be anchored: a path endpoint is
-                   either the net's own pin or a *friend* terminal — a cell
-                   currently owned by a net sharing the pin — on a path that
-                   survived this rip phase. Ownership by an arbitrary net is
-                   NOT an anchor: during negotiation unrelated paths overlap
-                   freely (overuse is penalized, not forbidden), so a cell
-                   whose friend owner was ripped may still be owned by a
-                   stranger, and splicing onto it commits a path that
-                   connects the pin to nothing in its own group — a
-                   disconnected net the geometry oracle rejects. *)
-                let anchored_for pin p =
-                  Point3.equal p (pin_pos pin)
-                  || (match
-                        Hashtbl.find_opt st.cell_owner
-                          (Grid.encode st.ws.grid p)
-                      with
-                     | None -> false
-                     | Some owners -> (
-                       match Hashtbl.find_opt st.pin_nets pin with
-                       | None -> false
-                       | Some ids ->
-                           List.exists
-                             (fun id ->
-                               id <> n.Bridge.net_id && List.mem id owners)
-                             ids))
-                in
-                let ok_fwd =
-                  anchored_for n.Bridge.pin_a pa.(0)
-                  && anchored_for n.Bridge.pin_b pa.(len - 1)
-                and ok_rev =
-                  anchored_for n.Bridge.pin_b pa.(0)
-                  && anchored_for n.Bridge.pin_a pa.(len - 1)
-                in
-                if not (ok_fwd || ok_rev) then None
-                else begin
-                  let a = pa.(j0) and b = pa.(j1) in
-                  (* Corridor: the cut segment's bounding box, inflated by
-                     the region margin plus a rip-streak-scaled step — a
-                     repeatedly ripped net needs room for a real detour. *)
-                  let seg_box =
-                    ref (Cuboid.of_origin_size a ~w:1 ~h:1 ~d:1)
-                  in
-                  for i = j0 + 1 to j1 do
-                    seg_box :=
-                      Cuboid.union !seg_box
-                        (Cuboid.of_origin_size pa.(i) ~w:1 ~h:1 ~d:1)
-                  done;
-                  let infl =
-                    config.region_margin
-                    + config.region_expand
-                      * min 3 (max 0 (streak n.Bridge.net_id - 1))
-                  in
-                  let corridor =
-                    match
-                      Cuboid.intersect (Cuboid.inflate !seg_box infl) grid_box
-                    with
-                    | Some r -> r
-                    | None -> grid_box
-                  in
-                  match
-                    search_bidir ws ~max_expansions:budget ~present_penalty
-                      ~exact:false ~region:corridor ~start:a ~goal:b
-                  with
-                  | None -> None
-                  | Some seg ->
-                      (* The repaired segment must not touch the kept cells,
-                         or the spliced path would self-intersect. *)
-                      let kept = Hashtbl.create (max 16 (len - (j1 - j0))) in
-                      for i = 0 to j0 - 1 do
-                        Hashtbl.replace kept (Grid.encode st.ws.grid pa.(i)) ()
-                      done;
-                      for i = j1 + 1 to len - 1 do
-                        Hashtbl.replace kept (Grid.encode st.ws.grid pa.(i)) ()
-                      done;
-                      if
-                        List.exists
-                          (fun p ->
-                            Hashtbl.mem kept (Grid.encode st.ws.grid p))
-                          seg
-                      then None
-                      else begin
-                        let tail = ref [] in
-                        for i = len - 1 downto j1 + 1 do
-                          tail := pa.(i) :: !tail
-                        done;
-                        let full = ref (seg @ !tail) in
-                        for i = j0 - 1 downto 0 do
-                          full := pa.(i) :: !full
-                        done;
-                        Some ({ net = n; path = !full }, seg)
-                      end
-                end
-              end
-            end
-          end
-  in
-  (* One net's routing step: corridor repair first, full regional search as
-     fallback and — under [~kernel:Reference] — as the referee a
-     successful repair is audited against. Returns the routing plus whether
-     it was spliced. *)
-  (* Streak-scaled focus box for a ripped net's full re-search: the latest
+  (* Bounding box of the cells each direct arbitration victim lost on in
+     the previous pass, filled by the [record] callback of the end-of-pass
+     [conflicted_nets] before any rip-up. Cascade-ripped dependents lost
+     their friend terminal, not a path segment, and have no entry. *)
+  let conflict_box : (int, Cuboid.t) Hashtbl.t = Hashtbl.create 16 in
+  (* Streak-scaled focus box for a ripped net's re-search: the latest
      conflict window's bounding box, inflated one region step per rip on the
      current streak (capped at three steps). First rips stay local; repeat
      offenders get room exactly where the fight is, instead of a blanket
      inflation of the whole pin bounding box. *)
   let focus_of n =
-    match Hashtbl.find_opt splice_info n.Bridge.net_id with
-    | None -> None
-    | Some _ when streak n.Bridge.net_id < 2 -> None
-    | Some (pa, cells) ->
-        let box = ref None in
-        Array.iter
-          (fun p ->
-            if Hashtbl.mem cells (Grid.encode st.ws.grid p) then
-              let c = Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1 in
-              box :=
-                Some (match !box with None -> c | Some b -> Cuboid.union b c))
-          pa;
-        Option.map
-          (fun b ->
-            let infl =
-              config.region_margin
-              + (config.region_expand * min 3 (streak n.Bridge.net_id))
-            in
-            Cuboid.inflate b infl)
-          !box
-  in
-  (* Corridor clamp for a streak-gated full re-search: the ripped net's old
-     path is a constructive proof that its terminals connect inside the old
-     path's neighbourhood, so the full search it is escalated to (the
-     [try_splice] streak gate forbids another splice) explores a corridor
-     around that proof — old-path bounding box plus both pins, inflated one
-     region step per rip on the streak — instead of the pin box grown by
-     accumulated [extra], which a few triple growth steps inflate to the
-     whole grid. First failure drops the clamp (fail_streak > 0): a net
-     whose detour genuinely leaves the corridor re-floods the full grown
-     region next pass, so the give-up ladder is untouched. *)
-  let clamp_of n =
-    if get_fail_streak n.Bridge.net_id > 0 then None
+    let s = streak n.Bridge.net_id in
+    if s < 2 then None
     else
-      match Hashtbl.find_opt splice_info n.Bridge.net_id with
-      | None -> None
-      | Some _ when streak n.Bridge.net_id < 2 -> None
-      | Some (pa, _) ->
-          let box = ref (Cuboid.of_origin_size pa.(0) ~w:1 ~h:1 ~d:1) in
-          Array.iter
-            (fun p ->
-              box := Cuboid.union !box (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1))
-            pa;
-          let ta = pin_pos n.Bridge.pin_a and tb = pin_pos n.Bridge.pin_b in
-          let b =
-            Cuboid.union !box
-              (Cuboid.union
-                 (Cuboid.of_origin_size ta ~w:1 ~h:1 ~d:1)
-                 (Cuboid.of_origin_size tb ~w:1 ~h:1 ~d:1))
-          in
-          let infl =
-            config.region_margin
-            + (config.region_expand * min 3 (streak n.Bridge.net_id))
-          in
-          Some (Cuboid.inflate b infl)
-  in
-  let attempt_incremental ~budget ~extra ~present_penalty ~bidir n =
-    match try_splice ~budget ~present_penalty n with
-    | Some (rn, seg) ->
-        if reference_mode then begin
-          audit_splice ~what:"spliced repair" n rn.path;
-          match
-            attempt ~max_expansions:budget ?focus:(focus_of n)
-              ?clamp:(clamp_of n) ~extra ~present_penalty n
-          with
-          | Some full -> audit_splice ~what:"full re-search" n full.path
-          | None -> ()
-        end;
-        Some (rn, Some seg)
-    | None -> (
-        match
-          attempt ~max_expansions:budget ?focus:(focus_of n)
-            ?clamp:(clamp_of n) ~bidir ~extra ~present_penalty n
-        with
-        | Some rn -> Some (rn, None)
-        | None -> None)
+      Option.map
+        (fun box ->
+          Cuboid.inflate box
+            (config.region_margin + (config.region_expand * min 3 s)))
+        (Hashtbl.find_opt conflict_box n.Bridge.net_id)
   in
   let iter = ref 0 in
   let total_ripped = ref 0 in
@@ -1561,19 +1286,9 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       else config.max_expansions
     in
     let unrouted = ref [] in
-    let on_committed n (rn, spliced) =
+    let on_committed n rn =
       commit st rn;
-      (if spliced = None && last_rite n then
-         Hashtbl.replace lastrite_won n.Bridge.net_id ());
-      (match spliced with
-      | Some seg ->
-          incr spliced_reroutes;
-          let cells = Hashtbl.create (2 * List.length seg) in
-          List.iter
-            (fun p -> Hashtbl.replace cells (Grid.encode st.ws.grid p) ())
-            seg;
-          Hashtbl.replace last_splice_cells n.Bridge.net_id cells
-      | None -> Hashtbl.remove last_splice_cells n.Bridge.net_id);
+      if last_rite n then Hashtbl.replace lastrite_won n.Bridge.net_id ();
       Hashtbl.remove fail_streak n.Bridge.net_id;
       Hashtbl.replace commit_seq n.Bridge.net_id !seq;
       incr seq
@@ -1604,54 +1319,33 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     List.iter
       (fun n ->
         match
-          attempt_incremental ~budget:(net_budget n) ~extra:(get_extra n)
-            ~present_penalty ~bidir:(!iter = 1) n
+          attempt ~max_expansions:(net_budget n) ?focus:(focus_of n)
+            ~bidir:(!iter = 1) ~extra:(get_extra n) ~present_penalty n
         with
-        | Some committed -> on_committed n committed
+        | Some rn -> on_committed n rn
         | None -> on_failed n)
       !pending;
     let ripped = ref [] in
-    Hashtbl.reset splice_info;
-    let conflict_cells : (int, (int, unit) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    Hashtbl.reset conflict_box;
     let record id cell =
-      let cells =
-        match Hashtbl.find_opt conflict_cells id with
-        | Some t -> t
-        | None ->
-            let t = Hashtbl.create 8 in
-            Hashtbl.add conflict_cells id t;
-            t
-      in
-      Hashtbl.replace cells cell ()
+      let c = Cuboid.of_origin_size (Grid.decode st.ws.grid cell) ~w:1 ~h:1 ~d:1 in
+      Hashtbl.replace conflict_box id
+        (match Hashtbl.find_opt conflict_box id with
+        | None -> c
+        | Some b -> Cuboid.union b c)
     in
     let victims = conflicted_nets ~record () in
-    (* Splice candidates must be captured before any uncommit: the cascade
-       rips nets the arbitration never condemned, and a victim's own path
-       disappears from [st.committed] as it is ripped. *)
-    if config.splice then
-      List.iter
-        (fun id ->
-          match
-            (Hashtbl.find_opt st.committed id, Hashtbl.find_opt conflict_cells id)
-          with
-          | Some rn, Some cells ->
-              Hashtbl.replace splice_info id (Array.of_list rn.path, cells)
-          | _ -> ())
-        victims;
     List.iter
       (fun id -> uncommit st id ~requeue:(fun net -> ripped := net :: !ripped))
       victims;
     (* Every commit, rip-up and history bump of the pass has refreshed the
        step-cost field; the reference kernel checks each cell of it. *)
-    if reference_mode then audit_cost_field ws;
+    (match kernel with Reference -> audit_cost_field ws | Dial -> ());
     (* A ripped net must look for a detour next time: grow its region too,
        or it keeps finding the same conflicting corridor. The step scales
        with the net's current rip streak — first and second rips stay
-       local (that is what keeps splice corridors small), a net ripped on
-       a streak gets a triple step: its full re-search (the streak gate in
-       [try_splice] forbids splicing) needs room for a genuine detour. *)
+       local, a net ripped on a streak gets a triple step: its re-search
+       needs room for a genuine detour. *)
     List.iter
       (fun (net : Bridge.net) ->
         let g =
@@ -1688,9 +1382,10 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     end;
     Trace.close pass_span;
     let next = List.rev_append !unrouted !ripped in
-    (* Next-pass order, pinned tie-breaks outermost first: conflict-repair
-       candidates route before everything else (a cheap local repair should
-       reclaim its corridor before search-failed nets flood it), then
+    (* Next-pass order, pinned tie-breaks outermost first: direct
+       arbitration victims route before everything else (a net re-routing
+       around its conflict window should reclaim a corridor before
+       search-failed nets flood it), then
        most-starved (largest region growth), ties shortest-first, and the
        residual order is the stable-sort input order — unrouted in reverse
        attempt order, then the pinned conflicted_nets fold order. *)
@@ -1698,7 +1393,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       List.stable_sort
         (fun a b ->
           let sp (n : Bridge.net) =
-            if Hashtbl.mem splice_info n.Bridge.net_id then 0 else 1
+            if Hashtbl.mem conflict_box n.Bridge.net_id then 0 else 1
           in
           let c = Int.compare (sp a) (sp b) in
           if c <> 0 then c
@@ -1752,7 +1447,6 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
   if Trace.enabled trace then begin
     Trace.incr ~n:ws.n_expansions trace "astar_expansions";
     Trace.incr ~n:ws.n_pushes trace "heap_pushes";
-    Trace.incr ~n:!spliced_reroutes trace "spliced_reroutes";
     Trace.incr ~n:ws.n_bidir trace "bidir_searches";
     Trace.incr ~n:!iterations_used trace "ripup_passes";
     Trace.incr ~n:!total_ripped trace "nets_ripped";

@@ -18,13 +18,14 @@
     cells pre-charged and arbitration keeping the net whose own mouth the
     contested cell is. A dense occupancy grid answers the per-cell queries.
 
-    The re-route schedule is incremental ({!config.splice}): an arbitration
-    victim first repairs only the corridor around its conflict window with a
-    bidirectional search ({!Search.run_bidir}) and splices the repair onto
-    its surviving prefix/suffix; per-net expansion budgets tighten as the
-    present penalty saturates, and region growth scales with each net's rip
-    streak instead of doubling blindly. Tie-breaks (repair candidates first,
-    then largest region growth, then shortest net, then the pinned
+    Pass 1 searches two-terminal nets bidirectionally
+    ({!Search.run_bidir}); later passes re-route every ripped or failed net
+    with a full regional search. A net ripped on a streak widens its region
+    around the bounding box of the cells it last lost on, per-net expansion
+    budgets tighten for search-failed nets as the present penalty
+    saturates, and region growth scales with each net's rip streak instead
+    of doubling blindly. Tie-breaks (direct arbitration victims first, then
+    largest region growth, then shortest net, then the pinned
     conflicted-nets order) are part of the determinism contract the volume
     baselines pin. *)
 
@@ -36,15 +37,6 @@ type config = {
   sky : int;              (** free layers kept above the top tier *)
   friend_aware : bool;
   max_expansions : int;   (** A* node budget per attempt (fail-fast) *)
-  splice : bool;
-      (** incremental conflict-local re-routing: a ripped net first repairs
-          only its conflict window with a bidirectional corridor search and
-          splices the result onto the surviving prefix/suffix; the full
-          regional re-search remains the fallback (and, under the
-          [Reference] kernel, the referee) *)
-  splice_margin : int;
-      (** path cells cut back on each side of the conflict window before a
-          splice repair, so the corridor search rejoins smoothly *)
 }
 
 val default_config : config
@@ -97,13 +89,11 @@ val route :
     config fed to stage cache keys.
 
     [kernel] (default [Dial]) picks the search kernel. The routed layout is
-    the same for both; [Reference] additionally audits every successful
-    splice repair — its path and the full re-search it replaces must each be
-    axis-connected and simple, or [route] raises — so its search counters
-    exceed [Dial]'s. It also checks, at the end of every pass, each cell of
-    the step-cost field the production kernels read (kept current by
-    commits, rip-ups and history bumps) against a fresh derivation from
-    history, occupancy and the grid, and raises on the first mismatch. *)
+    the same for both. [Reference] also checks, at the end of every pass,
+    each cell of the step-cost field the production kernels read (kept
+    current by commits, rip-ups and history bumps) against a fresh
+    derivation from history, occupancy and the grid, and raises on the
+    first mismatch. *)
 
 val astar_bench :
   ?kernel:kernel ->
@@ -183,8 +173,8 @@ module Search : sig
       on the first cell both have stamped, and the glued walk is loop-erased,
       so the result is always a simple axis-connected path from [start] to
       [goal] (ends exact, middle near-optimal). [None] when either terminal
-      lies outside [region] or the expansion budget runs dry. The corridor
-      engine behind {!config.splice} repairs. *)
+      lies outside [region] or the expansion budget runs dry. {!route} uses
+      it for pass-1 searches of nets with two lone terminals. *)
 
   val expansions : t -> int
   (** Cumulative nodes expanded across every [run] on this arena. *)

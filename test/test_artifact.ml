@@ -216,7 +216,7 @@ let pinned_keys =
       "82a3302c46a0bbc3d2d850ca84a1236a962b75f89d0feea19c833bd7038cff52",
       "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
     ( "routing",
-      "0a7daea186b501fa54aef8d26b9a952d30ad71690071726268b21dc666310035",
+      "dea5ae1c83bd4cb04eca8056374b2c223a5f6d7b5f2b5284878a37686e6eb317",
       "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
 
 let read_file path =

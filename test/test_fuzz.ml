@@ -58,16 +58,12 @@ let test_cache_warm_identity_prop () =
 let test_restricted_region_prop () =
   expect_pass ~count:5 ~seed:7 (Props.restricted_region ~max_qubits:4 ~max_gates:8)
 
-let test_splice_equivalence_prop () =
-  expect_pass ~count:5 ~seed:7 (Props.splice_equivalence ~max_qubits:4 ~max_gates:8)
-
 let test_prop_names () =
   Alcotest.(check (list string))
     "property registry"
     [ "decomposition-semantics"; "volume-vs-lin"; "oracle-agreement";
       "bstar-pack-cache"; "sa-incremental-cost"; "artifact-roundtrip";
-      "cache-warm-bit-identity"; "route-restricted-region";
-      "route-splice-equivalence" ]
+      "cache-warm-bit-identity"; "route-restricted-region" ]
     (List.map Props.name (Props.all ~max_qubits:4 ~max_gates:8))
 
 let suites =
@@ -87,6 +83,4 @@ let suites =
           test_cache_warm_identity_prop;
         Alcotest.test_case "restricted-region property" `Quick
           test_restricted_region_prop;
-        Alcotest.test_case "splice-equivalence property" `Quick
-          test_splice_equivalence_prop;
         Alcotest.test_case "property names" `Quick test_prop_names ] ) ]

@@ -349,7 +349,7 @@ let test_expansion_budget () =
 
 (* A run_bidir result must be a simple axis-connected walk inside [region]
    from [start] to [goal] that visits no blocked interior cell — the contract
-   the splice engine relies on when gluing a repair between anchors. *)
+   pass-1 routing relies on when it commits the walk as a net's path. *)
 let check_bidir_path name t ~region ~start ~goal path =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -537,12 +537,11 @@ let test_search_allocation_free () =
 (* The routing of one served instance, pinned bit for bit: the
    route-congested benchmark's options (SA 2000, 60 passes). A change to the
    search kernels or their scratch must leave the routed layout, its
-   artifact bytes and the search work unchanged. Both kernels produce the
-   same layout and bytes; the reference kernel also audits every successful
-   splice repair against a full re-search, which adds search work but never
-   changes the routing. Routing is sequential, so the pool passed to
-   [Router.route] changes nothing: every count is pinned for [domains] 1
-   and 3 alike. *)
+   artifact bytes and the search work unchanged, and the layout must route
+   every net and pass the independent geometry oracle. Both kernels produce
+   the same layout, bytes and search counts. Routing is sequential, so the
+   pool passed to [Router.route] changes nothing: every count is pinned for
+   [domains] 1 and 3 alike. *)
 let test_route_pinned_4gt10 ~domains kernel () =
   let module Flow = Tqec_core.Flow in
   let module Trace = Tqec_obs.Trace in
@@ -553,10 +552,10 @@ let test_route_pinned_4gt10 ~domains kernel () =
   in
   let options = Flow.scale_options ~route_iterations:60 Flow.default_options in
   let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
-  let nets =
-    (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
-      .Flow.Bridging.nets
+  let bridging =
+    Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular }
   in
+  let nets = bridging.Flow.Bridging.nets in
   let placement =
     (Flow.Placement.run ~trace:noop
        { Flow.Placement.primal_groups = true;
@@ -575,20 +574,25 @@ let test_route_pinned_4gt10 ~domains kernel () =
       (fun () -> Router.route ~trace ~pool ~kernel options.Flow.route placement nets)
   in
   Trace.close trace;
-  let expansions, pushes =
-    match kernel with
-    | Router.Dial -> (461001, 1003501)
-    | Router.Reference -> (502502, 1108517)
+  Alcotest.(check (list int)) "no failed nets" []
+    (List.map (fun n -> n.Bridge.net_id) r.Router.failed);
+  let oracle =
+    Tqec_verify.Verify.(
+      first_error
+        (verify
+           { modular; placement; routing = r; nets;
+             bridge = bridging.Flow.Bridging.bridge }))
   in
-  Alcotest.(check int) "volume" 78720 r.Router.volume;
-  Alcotest.(check int) "iterations_used" 6 r.Router.iterations_used;
+  Alcotest.(check (option string)) "geometry oracle accepts" None oracle;
+  Alcotest.(check int) "volume" 76752 r.Router.volume;
+  Alcotest.(check int) "iterations_used" 7 r.Router.iterations_used;
   Alcotest.(check int) "routed_first_iteration" 335 r.Router.routed_first_iteration;
-  Alcotest.(check int) "astar_expansions" expansions
+  Alcotest.(check int) "astar_expansions" 550984
     (Trace.counter trace "astar_expansions");
-  Alcotest.(check int) "heap_pushes" pushes (Trace.counter trace "heap_pushes");
-  Alcotest.(check int) "bidir_searches" 309 (Trace.counter trace "bidir_searches");
+  Alcotest.(check int) "heap_pushes" 1118711 (Trace.counter trace "heap_pushes");
+  Alcotest.(check int) "bidir_searches" 217 (Trace.counter trace "bidir_searches");
   Alcotest.(check string) "routing sha256"
-    "4cd9e041a1d778da0ed8c46b1d963f75ea186ebed3e433f11a07efc7e31c5dae"
+    "050d1459ae71cb58a36ce43c712a806cd9cdd2d6416e3e9694a45676c984e1ec"
     (Tqec_prelude.Hash.sha256_hex
        (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
 
