@@ -16,7 +16,7 @@ let cache_key (type i o) (stage : (i, o) stage) (input : i) =
   let module St = (val stage) in
   let module Sha256 = Tqec_prelude.Hash.Sha256 in
   (* The digest of [name ^ "\x00" ^ version ^ "\x00" ^ key], fed piece by
-     piece so the (often tens of KB) key is never copied. *)
+     piece so the (often several KB) key is never copied. *)
   let h = Sha256.create () in
   List.iter (Sha256.add_string h) [ St.name; "\x00"; St.version; "\x00"; St.key input ];
   Sha256.hex h

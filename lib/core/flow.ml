@@ -57,6 +57,32 @@ let scale_options ?sa_iterations ?route_iterations options =
 
 let canon json = Json.to_string json
 
+(* A large upstream artifact enters a downstream key as the SHA-256 of its
+   canonical JSON, not as the JSON itself, and each domain remembers the
+   last value it digested per kind. Within one job the same physical
+   [modular] and [nets] values reach the bridging, placement and routing
+   keys, so each is rendered and hashed once per job instead of once per
+   key. The memo is compared by [==] but the digest is of content, so a
+   decoded copy with equal content keys equally; holding the value keeps
+   its address from being reused by another. *)
+let digest_memo encode =
+  let slot = Domain.DLS.new_key (fun () -> None) in
+  fun v ->
+    match Domain.DLS.get slot with
+    | Some (last, digest) when last == v -> digest
+    | _ ->
+        let digest = Tqec_prelude.Hash.sha256_hex (canon (encode v)) in
+        Domain.DLS.set slot (Some (v, digest));
+        digest
+
+let modular_digest =
+  digest_memo (fun (modular : Modular.t) ->
+      Json.Obj
+        [ ("icm", Codecs.of_icm modular.Modular.icm);
+          ("modular", Codecs.of_modular modular) ])
+
+let nets_digest = digest_memo Codecs.of_nets
+
 module Preprocess = struct
   type input = Circuit.t
 
@@ -123,8 +149,7 @@ module Bridging = struct
     canon
       (Json.Obj
          [ ("bridging", Json.Bool bridging);
-           ("icm", Codecs.of_icm modular.Modular.icm);
-           ("modular", Codecs.of_modular modular) ])
+           ("modular", Json.String (modular_digest modular)) ])
 
   let run ~trace { bridging; modular } =
     if bridging then begin
@@ -175,9 +200,8 @@ module Placement = struct
          [ ("primal_groups", Json.Bool primal_groups);
            ("max_group_size", Json.Int max_group_size);
            ("config", Codecs.of_place_config config);
-           ("icm", Codecs.of_icm modular.Modular.icm);
-           ("modular", Codecs.of_modular modular);
-           ("nets", Codecs.of_nets nets) ])
+           ("modular", Json.String (modular_digest modular));
+           ("nets", Json.String (nets_digest nets)) ])
 
   let run ~trace { primal_groups; max_group_size; config; modular; nets; pool } =
     let cluster = Cluster.build ~primal_groups ~max_group_size modular in
@@ -216,15 +240,13 @@ module Routing = struct
 
   let key { config; placement; nets; pool = _ } =
     let cluster = placement.Place25d.cluster in
-    let modular = cluster.Cluster.modular in
     canon
       (Json.Obj
          [ ("config", Codecs.of_route_config config);
-           ("icm", Codecs.of_icm modular.Modular.icm);
-           ("modular", Codecs.of_modular modular);
+           ("modular", Json.String (modular_digest cluster.Cluster.modular));
            ("cluster", Codecs.of_cluster cluster);
            ("placement", Codecs.of_placement placement);
-           ("nets", Codecs.of_nets nets) ])
+           ("nets", Json.String (nets_digest nets)) ])
 
   let run ~trace { config; placement; nets; pool = _ } =
     Router.route ~trace config placement nets

@@ -194,17 +194,21 @@ let cost_entry ws present_penalty c =
    the sign mask. *)
 let surcharge e = e lxor (e asr (Sys.int_size - 1))
 
-(* Rebuild the whole field when a search runs at a penalty it was not
-   built at: at most once per negotiation pass. NaN never compares equal,
-   so a stale field always rebuilds. *)
+(* Bring the field to the penalty a search runs at: at most once per
+   negotiation pass. A stale (NaN, never equal) field is rebuilt whole. A
+   built one moving to a new penalty recomputes only its occupied cells:
+   an entry with [occ = 0] is [trunc (quantum * history)] at every
+   penalty. *)
 let ensure_cost_field ws present_penalty =
   if not (ws.cost_penalty = present_penalty) then begin
     if not (present_penalty >= 0.0) then
       invalid_arg "Router: present penalty must be non-negative";
     let n = Grid.size ws.grid in
     if Bigarray.Array1.dim ws.cost = 0 then ws.cost <- iarr_make n;
+    let built = ws.cost_penalty = ws.cost_penalty in
     for c = 0 to n - 1 do
-      ws.cost.{c} <- cost_entry ws present_penalty c
+      if (not built) || ws.occ.(c) > 0 then
+        ws.cost.{c} <- cost_entry ws present_penalty c
     done;
     ws.cost_penalty <- present_penalty
   end
@@ -1424,7 +1428,8 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     Hashtbl.fold (fun _ rn acc -> rn :: acc) st.committed []
     |> List.sort (fun a b -> Int.compare a.net.Bridge.net_id b.net.Bridge.net_id)
   in
-  (* Final bounding box: modules plus every routed cell. *)
+  (* Final bounding box: modules plus every routed cell. The cells fold
+     into integer bounds, so the box of the routes is built once. *)
   let bbox = ref None in
   let extend box =
     bbox := Some (match !bbox with None -> box | Some b -> Cuboid.union b box)
@@ -1433,10 +1438,23 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     (fun (md : Modular.module_) ->
       extend (Place25d.module_box placement md.Modular.module_id))
     modular.Modular.modules;
+  let x0 = ref max_int and y0 = ref max_int and z0 = ref max_int in
+  let x1 = ref min_int and y1 = ref min_int and z1 = ref min_int in
   List.iter
     (fun rn ->
-      List.iter (fun p -> extend (Cuboid.of_origin_size p ~w:1 ~h:1 ~d:1)) rn.path)
+      List.iter
+        (fun (p : Point3.t) ->
+          x0 := min !x0 p.x;
+          y0 := min !y0 p.y;
+          z0 := min !z0 p.z;
+          x1 := max !x1 p.x;
+          y1 := max !y1 p.y;
+          z1 := max !z1 p.z)
+        rn.path)
     routed;
+  if !x0 <= !x1 then
+    extend
+      (Cuboid.make (Point3.make !x0 !y0 !z0) (Point3.make (!x1 + 1) (!y1 + 1) (!z1 + 1)));
   let dims, volume =
     match !bbox with
     | None -> ((0, 0, 0), 0)

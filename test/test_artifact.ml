@@ -202,21 +202,24 @@ let test_cache_key_properties () =
     (not (String.equal k1 (Stage.cache_key (module Flow.Preprocess) renamed)))
 
 (* The four stage cache keys of [fig4_circuit] under [fast_options], and
-   the SHA-256 of each artifact's stored bytes. Every codec, hash or key
-   rewrite must keep them: a different key silently orphans every existing
-   cache directory, different bytes mean a changed canonical form. *)
+   the SHA-256 of each artifact's stored bytes. A different key silently
+   orphans every existing cache directory, different bytes mean a changed
+   canonical form, so neither moves by accident. The bridging, placement
+   and routing keys changed once, on purpose, when they began to embed
+   digests of the modular description and the nets instead of their JSON;
+   the preprocess key and all four stored-bytes digests did not. *)
 let pinned_keys =
   [ ( "preprocess",
       "f1e02623e7cf2fbd1fac599287adfed2a969a2fd734dd33f62e00e2f6ba78451",
       "24ab3767a77630191bf4242fad3f060668d8ae798147d3fcb11eb4179f7408eb" );
     ( "bridging",
-      "415405b16697cb36c0355de6cc396e1647b94947864eb2b7cac36410c113fde9",
+      "6763d1024a41e70851c8ec7a9bedcce1006583388d3c05df92b395634e08b92c",
       "a8c876f26fb04ffaf4ee53afbab3d086cffe404dde44a1e69ad33ca6d02869a7" );
     ( "placement",
-      "82a3302c46a0bbc3d2d850ca84a1236a962b75f89d0feea19c833bd7038cff52",
+      "56d96c7b2f8b9a4ed4d2555673a44a7a5d79a4a1949d5af63d871df55700ca6c",
       "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
     ( "routing",
-      "dea5ae1c83bd4cb04eca8056374b2c223a5f6d7b5f2b5284878a37686e6eb317",
+      "c6a1bdd7a4db7134305cf739f9093f4a7ba7e8e5616a1d908a1bc5b293d1db03",
       "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
 
 let read_file path =
@@ -264,6 +267,57 @@ let test_pinned_keys_and_bytes () =
       Alcotest.(check string) (stage ^ " stored bytes") digest
         (Tqec_prelude.Hash.sha256_hex (read_file (entry_path dir ~stage ~key))))
     pinned_keys keys
+
+(* The bridging, placement and routing keys of one flow result, from the
+   given [modular] and [nets]. *)
+let downstream_keys ?modular ?nets f =
+  let o = fast_options in
+  let modular = Option.value modular ~default:f.Flow.modular
+  and nets = Option.value nets ~default:f.Flow.nets in
+  [ Stage.cache_key (module Flow.Bridging)
+      { Flow.Bridging.bridging = o.Flow.bridging; modular };
+    Stage.cache_key (module Flow.Placement)
+      { Flow.Placement.primal_groups = o.Flow.primal_groups;
+        max_group_size = o.Flow.max_group_size;
+        config = o.Flow.place;
+        modular;
+        nets;
+        pool = None };
+    Stage.cache_key (module Flow.Routing)
+      { Flow.Routing.config = o.Flow.route;
+        placement =
+          { f.Flow.placement with
+            Tqec_place.Place25d.cluster = { f.Flow.cluster with Tqec_place.Cluster.modular } };
+        nets;
+        pool = None } ]
+
+(* The keys memoize each upstream digest by physical identity: A, then B,
+   then A again must give A's keys back (no stale memo hit), and so must
+   decode(encode) copies of A's modular and nets, which are new values with
+   equal content (no key that depends on identity). *)
+let test_key_digest_memo () =
+  let a = Flow.run ~options:fast_options (fig4_circuit ()) in
+  let b =
+    Flow.run ~options:fast_options
+      (Circuit.make ~name:"memo-b" ~num_qubits:3
+         [ Gate.Cnot { control = 0; target = 2 }; Gate.Cnot { control = 2; target = 1 } ])
+  in
+  let keys_a = downstream_keys a in
+  let keys_b = downstream_keys b in
+  let keys_a' = downstream_keys a in
+  let m = a.Flow.modular in
+  let modular =
+    Codecs.modular ~icm:(Codecs.icm (Codecs.of_icm m.Tqec_modular.Modular.icm))
+      (Codecs.of_modular m)
+  in
+  let nets = Codecs.nets (Codecs.of_nets a.Flow.nets) in
+  Alcotest.(check bool) "copies are new values" true (modular != m && nets != a.Flow.nets);
+  let keys_copy = downstream_keys ~modular ~nets a in
+  Alcotest.(check (list string)) "A again" keys_a keys_a';
+  Alcotest.(check (list string)) "A from decoded copies" keys_a keys_copy;
+  List.iter2
+    (fun ka kb -> Alcotest.(check bool) "A and B differ" false (String.equal ka kb))
+    keys_a keys_b
 
 (* ------------------------------------------------------------------ *)
 (* Hostile stored entries                                              *)
@@ -411,6 +465,7 @@ let suites =
         Alcotest.test_case "stage: cache key" `Quick test_cache_key_properties;
         Alcotest.test_case "stage: pinned keys and bytes" `Quick
           test_pinned_keys_and_bytes;
+        Alcotest.test_case "stage: key digest memo" `Quick test_key_digest_memo;
         Alcotest.test_case "hostile: bytes never raise" `Quick
           test_hostile_bytes_never_raise;
         Alcotest.test_case "hostile: corrupt entry is a miss" `Quick
