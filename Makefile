@@ -12,29 +12,25 @@ test:
 # with its step-cost-field audit, run inside the tier-1 suite; plus a CLI smoke
 # run that must produce a parseable metrics file, and one with
 # TQEC_SA_CHECK=1, which audits the annealer's incremental cost against a
-# full recompute on every move) -> the same tier-1 suite again under a
-# multi-domain pool (TQEC_DOMAINS=2; results must be identical by the
-# Taskpool determinism contract) -> determinism/hot-path lint -> fixed-seed
+# full recompute on every move) -> determinism/hot-path lint -> fixed-seed
 # differential fuzzing -> validity/perf/volume/expansion regression gate ->
 # stage-cache contract (cold/warm/reroute, valid layouts).
 check:
-	@echo "==== check [1/7] build ============================================"
+	@echo "==== check [1/6] build ============================================"
 	dune build
-	@echo "==== check [2/7] tests ============================================"
+	@echo "==== check [2/6] tests ============================================"
 	dune runtest
 	dune exec bin/tqec_compress.exe -- --benchmark 4gt10-v1_81 \
 	  --trace --metrics-json _build/metrics_smoke.json
 	dune exec bin/tqec_gate.exe -- metrics _build/metrics_smoke.json
 	TQEC_SA_CHECK=1 dune exec bin/tqec_compress.exe -- -b 4gt10-v1_81
-	@echo "==== check [3/7] tests (TQEC_DOMAINS=2) ==========================="
-	TQEC_DOMAINS=2 dune runtest --force
-	@echo "==== check [4/7] lint ============================================="
+	@echo "==== check [3/6] lint ============================================="
 	$(MAKE) lint
-	@echo "==== check [5/7] fuzz ============================================="
+	@echo "==== check [4/6] fuzz ============================================="
 	$(MAKE) fuzz
-	@echo "==== check [6/7] perf ============================================="
+	@echo "==== check [5/6] perf ============================================="
 	$(MAKE) perf
-	@echo "==== check [7/7] cache ============================================"
+	@echo "==== check [6/6] cache ============================================"
 	$(MAKE) cache
 	@echo "==== check: all stages passed ====================================="
 
@@ -66,24 +62,18 @@ fuzz: build
 bench:
 	dune exec bench/main.exe
 
-# Perf regression gate: rerun the fast benchmark subset in --json mode at
-# TQEC_DOMAINS=1 and TQEC_DOMAINS=4 and fail if any layout (the baseline's
-# included) leaves a net unrouted or is rejected by Flow.validate or the
-# Verify oracle, if any space-time volume drifts
-# from the committed BENCH_pr23.json — which also pins the two runs
-# bit-identical to each other, the parallel pipeline's determinism contract —
-# or if either run expands more A* nodes, rips up more nets or takes more
-# negotiation passes than the baseline (routing is sequential, so these
-# counts do not depend on the domain count; times and rates are
-# machine-dependent, reported informationally).
+# Perf regression gate: rerun the fast benchmark subset in --json mode and
+# fail if any layout (the baseline's included) leaves a net unrouted or is
+# rejected by Flow.validate or the Verify oracle, if any space-time volume
+# drifts from the committed BENCH_pr23.json, or if the run expands more A*
+# nodes, rips up more nets or takes more negotiation passes than the
+# baseline (times and rates are machine-dependent, reported
+# informationally).
 PERF_SUBSET = 4gt10-v1_81,4gt4-v0_73
 perf: build
-	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) TQEC_DOMAINS=1 \
-	  dune exec bench/main.exe -- --json > _build/bench_perf_d1.json
-	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) TQEC_DOMAINS=4 \
-	  dune exec bench/main.exe -- --json > _build/bench_perf_d4.json
-	dune exec bin/tqec_gate.exe -- perf BENCH_pr23.json \
-	  _build/bench_perf_d1.json _build/bench_perf_d4.json
+	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \
+	  dune exec bench/main.exe -- --json > _build/bench_perf.json
+	dune exec bin/tqec_gate.exe -- perf BENCH_pr23.json _build/bench_perf.json
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
 # (cold + warm + routing-config-only reruns inside bench --json) and check

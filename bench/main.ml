@@ -584,12 +584,6 @@ let effort_name () =
    preservation contract checked by `tqec_gate perf`; rates and times vary
    with the machine and are informational.
 
-   Schema v2 adds the parallel-execution telemetry: the top-level [domains]
-   (pool size the run used) and [pool_tasks_per_worker] (chunks each domain
-   slot executed — load-balance evidence, timing-dependent), and per
-   benchmark [sa_chains] plus [sa_moves_per_chain] (one entry per
-   multi-start chain; a single entry equal to [sa_moves] when chains=1).
-
    Schema v3 adds the stage-cache contract, exercised when TQEC_CACHE_DIR
    is set: each benchmark runs cold (populating the cache), warm (expected
    to hit all four stages) and once more with only the routing config
@@ -602,7 +596,13 @@ let effort_name () =
    cache`: per benchmark [unrouted] and the verdicts of Flow.validate
    ([validate]) and of the Verify oracle ([oracle]), each "ok" or the first
    error; the same three prefixed [cold_]/[warm_] for cached runs. It drops
-   [spliced_reroutes]. *)
+   [spliced_reroutes].
+
+   Schema v7 drops the parallel-execution telemetry schema v2 added: the
+   top-level [domains] and [pool_tasks_per_worker], and per benchmark
+   [sa_chains] and [sa_moves_per_chain]. Placement is one anneal and
+   routing one negotiation loop, so the run does the same work at every
+   pool size. *)
 
 let validity_fields prefix (f : Flow.t) =
   let module Json = Tqec_obs.Json in
@@ -661,7 +661,6 @@ let cache_runs_of store prep =
 
 let json_mode () =
   let module Json = Tqec_obs.Json in
-  let module Pool = Tqec_prelude.Pool in
   let per_sec n t = if t > 0.0 then float_of_int n /. t else 0.0 in
   let cache_store =
     Option.map
@@ -674,13 +673,6 @@ let json_mode () =
         let f = (flows_of prep).ours in
         let b = f.Flow.breakdown in
         let sa_moves = Flow.stage_counter f "placement" "sa_moves" in
-        let sa_chains = max 1 (Flow.stage_counter f "placement" "sa_chains") in
-        let moves_per_chain =
-          if sa_chains = 1 then [ sa_moves ]
-          else
-            List.init sa_chains (fun k ->
-                Flow.stage_counter f "placement" (Printf.sprintf "chain%d/sa_moves" k))
-        in
         let expansions = Flow.stage_counter f "routing" "astar_expansions" in
         let c =
           match cache_store with
@@ -695,9 +687,6 @@ let json_mode () =
                ("t_placement", Json.Float b.Flow.t_placement);
                ("t_routing", Json.Float b.Flow.t_routing);
                ("sa_moves", Json.Int sa_moves);
-               ("sa_chains", Json.Int sa_chains);
-               ("sa_moves_per_chain",
-                Json.List (List.map (fun m -> Json.Int m) moves_per_chain));
                ("sa_moves_per_sec", Json.Float (per_sec sa_moves b.Flow.t_placement));
                ("astar_expansions", Json.Int expansions);
                ("heap_pushes", Json.Int (Flow.stage_counter f "routing" "heap_pushes"));
@@ -717,19 +706,13 @@ let json_mode () =
            @ c.validity))
       (Lazy.force flow_preps)
   in
-  let pool = Pool.global () in
   print_endline
     (Json.to_string ~pretty:true
        (Json.Obj
-          [ ("schema_version", Json.Int 6);
+          [ ("schema_version", Json.Int 7);
             ("effort", Json.String (effort_name ()));
             ("seed", Json.Int seed);
             ("cache", Json.Bool (Option.is_some cache_store));
-            ("domains", Json.Int (Pool.domains pool));
-            ("pool_tasks_per_worker",
-             Json.List
-               (Array.to_list
-                  (Array.map (fun n -> Json.Int n) (Pool.tasks_per_worker pool))));
             ("benchmarks", Json.List benches) ]))
 
 let () =

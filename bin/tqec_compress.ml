@@ -27,12 +27,9 @@ let load ~benchmark ~real_file ~seed =
   | Some _, Some _ -> Error "pass either --benchmark or --real, not both"
   | None, None -> Error "pass --benchmark NAME or --real FILE"
 
-let run benchmark real_file seed sa_iterations route_iterations tiers domains
-    chains no_bridging no_primal_groups no_friends baselines layout json trace
+let run benchmark real_file seed sa_iterations route_iterations tiers
+    no_bridging no_primal_groups no_friends baselines layout json trace
     metrics_file cache_dir =
-  (match domains with
-   | Some n -> Tqec_prelude.Pool.set_default_domains n
-   | None -> ());
   match load ~benchmark ~real_file ~seed with
   | Error msg ->
       prerr_endline ("tqec_compress: " ^ msg);
@@ -48,8 +45,7 @@ let run benchmark real_file seed sa_iterations route_iterations tiers domains
             place =
               { base.Tqec_core.Flow.place with
                 Tqec_place.Place25d.tiers;
-                seed;
-                chains = max 1 chains } }
+                seed } }
       in
       let cache = Option.map (fun dir -> Tqec_artifact.Store.create ~dir ()) cache_dir in
       let flow = Tqec_core.Flow.run ~options ?cache circuit in
@@ -148,18 +144,6 @@ let tiers =
   Arg.(value & opt (some int) None & info [ "tiers" ]
          ~doc:"Number of 2.5D tiers (default: heuristic).")
 
-let domains =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for parallel placement chains (default:
-               \\$(b,TQEC_DOMAINS), else 1). Routing is sequential. Results
-               are bit-identical for every value.")
-
-let chains =
-  Arg.(value & opt int 1 & info [ "chains" ] ~docv:"K"
-         ~doc:"Independent multi-start SA placement chains (default 1, the
-               single historical chain); the lowest-cost chain wins
-               deterministically.")
-
 let no_bridging =
   Arg.(value & flag & info [ "no-bridging" ] ~doc:"Disable iterative bridging (Table V ablation).")
 
@@ -203,7 +187,7 @@ let cmd =
     (Cmd.info "tqec_compress" ~doc)
     Term.(
       const run $ benchmark $ real_file $ seed $ sa_iterations $ route_iterations
-      $ tiers $ domains $ chains $ no_bridging $ no_primal_groups $ no_friends
+      $ tiers $ no_bridging $ no_primal_groups $ no_friends
       $ baselines $ layout $ json $ trace $ metrics_file $ cache_dir)
 
 let () = exit (Cmd.eval cmd)

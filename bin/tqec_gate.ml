@@ -2,8 +2,8 @@
 
      tqec_gate metrics FILE
          a --metrics-json file parses and carries the fields CI gates on;
-     tqec_gate perf BASELINE.json CURRENT.json [CURRENT2.json ...]
-         fresh `bench/main.exe --json` runs against a committed baseline
+     tqec_gate perf BASELINE.json CURRENT.json
+         a fresh `bench/main.exe --json` run against a committed baseline
          (BENCH_pr23.json): every layout valid, volumes exact, expansions /
          rip-ups / passes bounded;
      tqec_gate cache FILE
@@ -131,15 +131,10 @@ let metrics file =
 
 (* Every layout, the baseline's included, must be valid (above).
    Space-time volumes are deterministic for a fixed seed and must match the
-   baseline exactly — a drift means the perf work changed behavior. Several
-   current files may be given (e.g. one run at TQEC_DOMAINS=1 and one at
-   TQEC_DOMAINS=4); each is held to the same exact-volume contract, which
-   also pins them bit-identical to each other — the determinism guarantee
-   of the parallel pipeline. A* expansion counts are equally deterministic
-   and, since routing is sequential, independent of the domain count: no
-   run may expand more nodes than the baseline — the search-efficiency
-   regression gate. Times and rates are machine-dependent and reported
-   informationally. *)
+   baseline exactly — a drift means the perf work changed behavior. A*
+   expansion counts are equally deterministic: the run may not expand more
+   nodes than the baseline — the search-efficiency regression gate. Times
+   and rates are machine-dependent and reported informationally. *)
 
 let float_field b key =
   match Json.member key b with
@@ -147,12 +142,11 @@ let float_field b key =
   | Some (Json.Int v) -> float_of_int v
   | Some _ | None -> 0.0
 
-let check_current ~baseline_file ~baseline ~drifted current_file =
-  let json = read_json current_file in
-  let current = benchmarks current_file json in
-  let domains =
-    match Json.member "domains" json with Some (Json.Int d) -> d | _ -> 1
-  in
+let perf baseline_file current_file =
+  let baseline = benchmarks baseline_file (read_json baseline_file) in
+  let current = benchmarks current_file (read_json current_file) in
+  let drifted = ref 0 in
+  List.iter (check_valid ~file:baseline_file drifted ~prefix:"") baseline;
   List.iter
     (fun (name, b) ->
       match List.assoc_opt name current with
@@ -164,8 +158,8 @@ let check_current ~baseline_file ~baseline ~drifted current_file =
           let vc = int_field current_file name c "volume" in
           if vb <> vc then
             violation drifted
-              "VOLUME DRIFT on %s (%s, domains=%d): baseline %d, current %d"
-              name current_file domains vb vc;
+              "VOLUME DRIFT on %s (%s): baseline %d, current %d"
+              name current_file vb vc;
           (* Routing work: A* expansions, rip-ups and negotiation passes
              are as deterministic as the volume, and creeping any of them
              up is how expansion wins quietly rot — more (cheaper)
@@ -176,35 +170,28 @@ let check_current ~baseline_file ~baseline ~drifted current_file =
               let wc = int_field current_file name c key in
               if wc > wb then
                 violation drifted
-                  "%s REGRESSION on %s (%s, domains=%d): baseline %d, current %d"
-                  (String.uppercase_ascii key) name current_file domains wb wc)
+                  "%s REGRESSION on %s (%s): baseline %d, current %d"
+                  (String.uppercase_ascii key) name current_file wb wc)
             [ "astar_expansions"; "total_ripped"; "passes" ];
           let rate key =
             let rb = float_field b key and rc = float_field c key in
             if rb > 0.0 then Printf.sprintf "%.2fx" (rc /. rb) else "n/a"
           in
           Printf.printf
-            "%-16s domains=%d volume %d %s; sa_moves/s %.0f (%s vs \
-             baseline); a*_exp/s %.0f (%s vs baseline)\n"
-            name domains vc (status drifted before)
+            "%-16s volume %d %s; sa_moves/s %.0f (%s vs baseline); a*_exp/s \
+             %.0f (%s vs baseline)\n"
+            name vc (status drifted before)
             (float_field c "sa_moves_per_sec")
             (rate "sa_moves_per_sec")
             (float_field c "astar_expansions_per_sec")
             (rate "astar_expansions_per_sec"))
-    baseline
-
-let perf baseline_file current_files =
-  let baseline = benchmarks baseline_file (read_json baseline_file) in
-  let drifted = ref 0 in
-  List.iter (check_valid ~file:baseline_file drifted ~prefix:"") baseline;
-  List.iter (check_current ~baseline_file ~baseline ~drifted) current_files;
+    baseline;
   if !drifted > 0 then
     fail "%d benchmark gate(s) failed against the baseline" !drifted;
   Printf.printf
     "%s: %d benchmark(s) match %s (layouts valid; volumes exact; \
-     expansions, rip-ups and passes bounded) across %d run(s)\n"
+     expansions, rip-ups and passes bounded)\n"
     tool (List.length baseline) baseline_file
-    (List.length current_files)
 
 (* ------------------------------------------------------------------ cache *)
 
@@ -261,9 +248,9 @@ let cache file =
 let () =
   match Array.to_list Sys.argv with
   | [ _; "metrics"; file ] -> metrics file
-  | _ :: "perf" :: baseline :: (_ :: _ as currents) -> perf baseline currents
+  | [ _; "perf"; baseline; current ] -> perf baseline current
   | [ _; "cache"; file ] -> cache file
   | _ ->
       fail
-        "usage: tqec_gate metrics FILE | perf BASELINE.json CURRENT.json \
-         [CURRENT2.json ...] | cache FILE"
+        "usage: tqec_gate metrics FILE | perf BASELINE.json CURRENT.json | \
+         cache FILE"

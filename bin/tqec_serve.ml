@@ -1,9 +1,10 @@
 (* Batch front end: run a manifest of compression jobs through the shared
-   stage cache and domain pool, emitting per-job metrics JSON.
+   stage cache, emitting per-job metrics JSON.
 
    The manifest is a JSON object with a "jobs" list; each job names a
    built-in benchmark ("benchmark") or a RevLib file ("real") plus optional
-   per-job option overrides:
+   per-job option overrides (any other field is an error, so a misspelt
+   override cannot run silently with the default):
 
      { "jobs": [
          { "name": "a", "benchmark": "4gt10-v1_81", "sa_iterations": 2000 },
@@ -42,6 +43,22 @@ let opt_string job key =
   | Some (Json.String s) -> Some s
   | Some _ -> m_err "field %S must be a string" key
 
+(* Every field [load_circuit], [options_of] and [run_job] read. *)
+let job_fields =
+  [ "name"; "benchmark"; "real"; "seed"; "tiers"; "sa_iterations";
+    "route_iterations"; "region_margin"; "bridging"; "primal_groups";
+    "friend_aware"; "max_group_size" ]
+
+let check_fields job =
+  match job with
+  | Json.Obj fields ->
+      List.iter
+        (fun (key, _) ->
+          if not (List.mem key job_fields) then
+            m_err "unknown field %S (known: %s)" key (String.concat ", " job_fields))
+        fields
+  | _ -> m_err "job must be a JSON object"
+
 let load_circuit ~seed job =
   match (opt_string job "benchmark", opt_string job "real") with
   | Some name, None -> (
@@ -64,9 +81,7 @@ let options_of job =
   let place =
     { base.Flow.place with
       Tqec_place.Place25d.tiers = opt_int job "tiers";
-      seed;
-      chains =
-        (match opt_int job "chains" with Some c -> max 1 c | None -> 1) }
+      seed }
   in
   let route =
     match opt_int job "region_margin" with
@@ -125,10 +140,7 @@ let run_job store index job =
   in
   (json, valid, (hits, misses, stores))
 
-let run manifest cache_dir domains out =
-  (match domains with
-   | Some n -> Tqec_prelude.Pool.set_default_domains n
-   | None -> ());
+let run manifest cache_dir out =
   let contents =
     try In_channel.with_open_text manifest In_channel.input_all
     with Sys_error msg ->
@@ -147,6 +159,13 @@ let run manifest cache_dir domains out =
             Printf.eprintf "tqec_serve: %s has no \"jobs\" list\n" manifest;
             exit 1)
   in
+  List.iteri
+    (fun index job ->
+      try check_fields job
+      with Manifest msg ->
+        Printf.eprintf "tqec_serve: job %d: %s\n" index msg;
+        exit 1)
+    jobs;
   let store = Tqec_artifact.Store.create ?dir:cache_dir () in
   let results =
     List.mapi
@@ -205,11 +224,6 @@ let cache_dir =
                later tqec_serve / tqec_compress runs). Without it the jobs
                still share an in-memory cache for this invocation.")
 
-let domains =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for the shared pool (default \\$(b,TQEC_DOMAINS),
-               else 1). Results are bit-identical for every value.")
-
 let out =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
          ~doc:"Write the per-job metrics JSON here instead of stdout.")
@@ -217,6 +231,6 @@ let out =
 let cmd =
   let doc = "batch compression jobs over a shared stage cache" in
   Cmd.v (Cmd.info "tqec_serve" ~doc)
-    Term.(const run $ manifest $ cache_dir $ domains $ out)
+    Term.(const run $ manifest $ cache_dir $ out)
 
 let () = exit (Cmd.eval cmd)

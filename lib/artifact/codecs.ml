@@ -462,8 +462,7 @@ let of_place_config (c : Place25d.config) =
       ("beta", Json.Float c.Place25d.beta);
       ("gamma", Json.Float c.Place25d.gamma);
       ("aspect_target", Json.Float c.Place25d.aspect_target);
-      ("seed", Json.Int c.Place25d.seed);
-      ("chains", Json.Int c.Place25d.chains) ]
+      ("seed", Json.Int c.Place25d.seed) ]
 
 let of_route_config (c : Router.config) =
   Json.Obj

@@ -203,9 +203,9 @@ module Placement = struct
            ("modular", Json.String (modular_digest modular));
            ("nets", Json.String (nets_digest nets)) ])
 
-  let run ~trace { primal_groups; max_group_size; config; modular; nets; pool } =
+  let run ~trace { primal_groups; max_group_size; config; modular; nets; pool = _ } =
     let cluster = Cluster.build ~primal_groups ~max_group_size modular in
-    let placement = Place25d.place ~trace ?pool config cluster nets in
+    let placement = Place25d.place ~trace config cluster nets in
     { cluster; placement }
 
   let encode { cluster; placement } =
@@ -324,7 +324,7 @@ let run_stage (type i o) ((module St : Stage.S with type input = i and type outp
   Trace.close span;
   (out, Trace.duration_s span)
 
-let run ?(options = default_options) ?trace ?pool ?cache circuit =
+let run ?(options = default_options) ?trace ?pool:_ ?cache circuit =
   let root =
     match trace with
     | Some parent -> Trace.span parent "flow"
@@ -342,7 +342,7 @@ let run ?(options = default_options) ?trace ?pool ?cache circuit =
         config = options.place;
         modular = pre.Preprocess.modular;
         nets = br.Bridging.nets;
-        pool }
+        pool = None }
   in
   let route_config =
     { options.route with Router.friend_aware = options.friend_aware && options.bridging }

@@ -75,7 +75,8 @@ module Placement : sig
     modular : Tqec_modular.Modular.t;
     nets : Tqec_bridge.Bridge.net list;
     pool : Tqec_prelude.Pool.t option;
-        (** domain pool for multi-start chains; [None] = global pool *)
+        (** ignored: placement is sequential. Kept so that existing callers
+            that set it still compile; not part of the stage key. *)
   }
 
   type output = {
@@ -150,9 +151,9 @@ val run :
     breakdown then reads all-zero); otherwise the flow records under a
     fresh live root so the breakdown is always available.
 
-    [pool] (default {!Tqec_prelude.Pool.global}, sized by [TQEC_DOMAINS])
-    feeds the parallel placement chains (routing is sequential); the
-    compressed result is bit-identical for every pool size.
+    [pool] is accepted and ignored: every stage runs sequentially on the
+    calling domain, so the result is the same for every pool size. The
+    argument remains only for callers that still pass it.
 
     [cache] consults the artifact store before each stage: on a hit the
     stored artifact is decoded instead of recomputed (bit-identical by the

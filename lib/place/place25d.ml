@@ -1,7 +1,6 @@
 module Point3 = Tqec_geom.Point3
 module Cuboid = Tqec_geom.Cuboid
 module Rng = Tqec_prelude.Rng
-module Pool = Tqec_prelude.Pool
 module Trace = Tqec_obs.Trace
 module Modular = Tqec_modular.Modular
 module Bridge = Tqec_bridge.Bridge
@@ -16,7 +15,6 @@ type config = {
   gamma : float;
   aspect_target : float;
   seed : int;
-  chains : int;
 }
 
 let default_config =
@@ -28,8 +26,7 @@ let default_config =
     beta = 0.5;
     gamma = 0.25;
     aspect_target = 1.5;
-    seed = 42;
-    chains = 1 }
+    seed = 42 }
 
 type placement = {
   cluster : Cluster.t;
@@ -608,10 +605,8 @@ let[@tqec.allow
        | Some n when n >= 1 -> Some n
        | Some _ | None -> Some 64)
 
-(* Annealer construction minus the one mutation of shared input:
-   [Cluster.equalize_tsl] must run exactly once per cluster, outside any
-   parallel region, so multi-start chains build from identical clusters. *)
-let make_annealer_with ?(trace = Trace.noop) config cl nets ~rng =
+let make_annealer ?(trace = Trace.noop) config cl nets =
+  Cluster.equalize_tsl cl;
   let ntiers =
     match config.tiers with
     | Some t -> max 1 (min t (Cluster.num_clusters cl))
@@ -659,78 +654,26 @@ let make_annealer_with ?(trace = Trace.noop) config cl nets ~rng =
       ~wirelength_term:(config.beta *. l /. l_norm)
       ~aspect_term:(config.gamma *. ((r -. config.aspect_target) ** 2.0))
   in
-  { a_rng = rng;
+  { a_rng = Rng.create config.seed;
     a_init = init;
     a_cost = cost;
     a_full_cost = full_cost;
     a_perturb = perturb ctx;
     a_copy = copy_eval ctx }
 
-let make_annealer ?trace config cl nets =
-  Cluster.equalize_tsl cl;
-  make_annealer_with ?trace config cl nets ~rng:(Rng.create config.seed)
-
-let anneal_once a ~trace config =
+(* [?pool] is accepted and ignored: placement is one anneal on the calling
+   domain (see place25d.mli). *)
+let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
+  let z_gap = config.z_gap and spacing = config.spacing in
+  let a = make_annealer ~trace config cl nets in
   let check, check_every =
     match sa_check_every () with
     | Some n -> (Some a.a_full_cost, n)
     | None -> (None, 1)
   in
-  Sa.run ~trace ?check ~check_every ~rng:a.a_rng ~init:a.a_init ~copy:a.a_copy
-    ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
-
-(* K independent multi-start chains. Chain [k] seeds from
-   [Rng.stream ~root:config.seed k]; each builds a private annealer
-   (B*-trees, eval caches, ctx scratch) from the shared read-only cluster, so
-   chains are embarrassingly parallel. The winner is the lowest best-cost
-   chain, ties broken by lowest chain index — a deterministic choice for any
-   domain count. Workers get a noop trace (spans are not domain-safe);
-   per-chain counters are replayed into [trace] sequentially afterwards. *)
-let anneal_chains ~trace ~pool config cl nets =
-  Cluster.equalize_tsl cl;
-  let chains = config.chains in
-  let run_chain k =
-    let a = make_annealer_with config cl nets ~rng:(Rng.stream ~root:config.seed k) in
-    anneal_once a ~trace:Trace.noop config
-  in
-  let all =
-    if Pool.in_worker () then Array.init chains run_chain
-    else
-      let pool = match pool with Some p -> p | None -> Pool.global () in
-      Pool.parallel_init pool chains run_chain
-  in
-  let winner = ref 0 in
-  for k = 1 to chains - 1 do
-    if all.(k).Sa.best_cost < all.(!winner).Sa.best_cost then winner := k
-  done;
-  if Trace.enabled trace then begin
-    let moves = max 1 config.sa.Sa.iterations in
-    let total f = Array.fold_left (fun acc st -> acc + f st) 0 all in
-    Trace.incr ~n:chains trace "sa_chains";
-    Trace.incr ~n:!winner trace "sa_winner_chain";
-    Array.iteri
-      (fun k (st : eval Sa.stats) ->
-        Trace.incr ~n:moves trace (Printf.sprintf "chain%d/sa_moves" k);
-        Trace.incr ~n:st.Sa.accepted trace (Printf.sprintf "chain%d/sa_accepted" k);
-        Trace.incr ~n:st.Sa.rejected trace (Printf.sprintf "chain%d/sa_rejected" k);
-        Trace.incr ~n:st.Sa.improved trace (Printf.sprintf "chain%d/sa_improved" k);
-        Trace.gauge trace (Printf.sprintf "chain%d/sa_best_cost" k) st.Sa.best_cost)
-      all;
-    Trace.incr ~n:(moves * chains) trace "sa_moves";
-    Trace.incr ~n:(total (fun st -> st.Sa.accepted)) trace "sa_accepted";
-    Trace.incr ~n:(total (fun st -> st.Sa.rejected)) trace "sa_rejected";
-    Trace.incr ~n:(total (fun st -> st.Sa.improved)) trace "sa_improved";
-    Trace.gauge trace "sa_best_cost" all.(!winner).Sa.best_cost
-  end;
-  all.(!winner)
-
-let place ?(trace = Trace.noop) ?pool (config : config) cl nets =
-  let z_gap = config.z_gap and spacing = config.spacing in
   let stats =
-    if config.chains <= 1 then
-      let a = make_annealer ~trace config cl nets in
-      anneal_once a ~trace config
-    else anneal_chains ~trace ~pool config cl nets
+    Sa.run ~trace ?check ~check_every ~rng:a.a_rng ~init:a.a_init ~copy:a.a_copy
+      ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
   in
   let final = stats.Sa.best.state in
   let packs = pack_all final ~spacing in

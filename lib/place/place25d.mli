@@ -25,12 +25,6 @@ type config = {
   gamma : float;
   aspect_target : float;   (** target tier-plane aspect ratio, width over depth *)
   seed : int;
-  chains : int;            (** independent multi-start SA chains, default 1.
-                               [1] is exactly the historical single-chain
-                               anneal; [k > 1] seeds chain [i] from
-                               [Rng.stream ~root:seed i] and keeps the
-                               lowest-cost result (ties to the lowest chain
-                               index), identically for any domain count. *)
 }
 
 val default_config : config
@@ -57,10 +51,10 @@ val place :
 (** Anneal the 2.5D floorplan for the given clusters, estimating wirelength
     over [nets]. Deterministic for a fixed [config.seed]; [trace] records
     SA move counters and per-evaluation cost-component distributions without
-    affecting the result. With [config.chains > 1] the chains run on [pool]
-    (default {!Tqec_prelude.Pool.global}); the returned placement — and with
-    chains = 1, every traced counter — is independent of the pool size.
-    [placement.sa_accepted]/[sa_improved] are the winning chain's counts. *)
+    affecting the result. [pool] is accepted and ignored: placement is one
+    sequential anneal on the calling domain, so the placement and every
+    counter are the same for every pool size. The argument remains only for
+    callers that still pass it. *)
 
 val sa_eval_bench :
   config -> Cluster.t -> Tqec_bridge.Bridge.net list -> unit -> unit

@@ -21,7 +21,6 @@ type t = {
   mutable checked_in : int;   (* workers finished with the current epoch *)
   mutable live : bool;
   mutable workers : unit Domain.t array;
-  tasks_run : int array;      (* per-slot executed chunk count, informational *)
 }
 
 let domains t = t.n_domains
@@ -42,7 +41,7 @@ let record_fail job chunk exn bt =
   keep_min ();
   Atomic.set job.stop true
 
-let run_chunks pool job ~worker =
+let run_chunks job =
   Domain.DLS.set in_worker_key true;
   let continue_ = ref true in
   while !continue_ do
@@ -50,16 +49,14 @@ let run_chunks pool job ~worker =
     else begin
       let c = Atomic.fetch_and_add job.next 1 in
       if c >= job.nchunks then continue_ := false
-      else begin
-        pool.tasks_run.(worker) <- pool.tasks_run.(worker) + 1;
+      else
         try job.run c
         with exn -> record_fail job c exn (Printexc.get_raw_backtrace ())
-      end
     end
   done;
   Domain.DLS.set in_worker_key false
 
-let worker_loop pool ~worker =
+let worker_loop pool =
   let seen = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -75,7 +72,7 @@ let worker_loop pool ~worker =
       seen := pool.epoch;
       let job = pool.current in
       Mutex.unlock pool.mutex;
-      (match job with Some j -> run_chunks pool j ~worker | None -> ());
+      (match job with Some j -> run_chunks j | None -> ());
       Mutex.lock pool.mutex;
       pool.checked_in <- pool.checked_in + 1;
       Condition.signal pool.work_done;
@@ -94,11 +91,10 @@ let create ~domains () =
       epoch = 0;
       checked_in = 0;
       live = true;
-      workers = [||];
-      tasks_run = Array.make n 0 }
+      workers = [||] }
   in
   pool.workers <-
-    Array.init (n - 1) (fun i -> Domain.spawn (fun () -> worker_loop pool ~worker:(i + 1)));
+    Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
 
 let shutdown pool =
@@ -117,7 +113,7 @@ let run_job pool job =
     if pool.n_domains = 1 then
       (* Inline path: chunks claimed 0,1,2,… by the one participant — the
          sequential loop, with identical effect order. *)
-      run_chunks pool job ~worker:0
+      run_chunks job
     else begin
       Mutex.lock pool.mutex;
       if not pool.live then begin
@@ -129,7 +125,7 @@ let run_job pool job =
       pool.checked_in <- 0;
       Condition.broadcast pool.work_ready;
       Mutex.unlock pool.mutex;
-      run_chunks pool job ~worker:0;
+      run_chunks job;
       Mutex.lock pool.mutex;
       while pool.checked_in < pool.n_domains - 1 do
         Condition.wait pool.work_done pool.mutex
@@ -172,17 +168,9 @@ let parallel_map pool ?chunk f arr =
 let parallel_iteri pool ?chunk f arr =
   ignore (parallel_init pool ?chunk (Array.length arr) (fun i -> f i arr.(i)))
 
-let tasks_per_worker pool = Array.copy pool.tasks_run
-
 (* ------------------------------------------------------------------ *)
 (* Global pool                                                         *)
 (* ------------------------------------------------------------------ *)
-
-[@@@tqec.allow
-  "cache-ambient-read: TQEC_DOMAINS and the cached pool handle size the \
-   schedule, not the results — chunked reductions are order-fixed, so \
-   outputs are bit-identical across pool sizes (PR 5 determinism contract) \
-   and stage keys exclude parallelism config by design"]
 
 let global_mutex = Mutex.create ()
 let default_domains_ref = ref None
@@ -195,19 +183,6 @@ let parse_env () =
       match int_of_string_opt v with
       | Some n when n >= 1 -> min n max_domains
       | Some _ | None -> 1)
-
-let default_domains () =
-  Mutex.lock global_mutex;
-  let n =
-    match !default_domains_ref with
-    | Some n -> n
-    | None ->
-        let n = parse_env () in
-        default_domains_ref := Some n;
-        n
-  in
-  Mutex.unlock global_mutex;
-  n
 
 let set_default_domains n =
   let n = max 1 (min n max_domains) in

@@ -19,9 +19,8 @@
 
     Pools do not nest: calling [parallel_*] from inside a task fails fast
     with [Failure] rather than deadlocking on the exhausted pool. Code that
-    may run both standalone and inside a task (e.g. the pipeline invoked
-    from a fuzzing batch) should consult {!in_worker} and take its
-    sequential path. *)
+    may run both standalone and inside a task should consult {!in_worker}
+    and take its sequential path. *)
 
 type t
 
@@ -50,20 +49,12 @@ val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 val parallel_iteri : t -> ?chunk:int -> (int -> 'a -> unit) -> 'a array -> unit
 (** Side-effecting tasks must write to disjoint, task-indexed locations. *)
 
-val tasks_per_worker : t -> int array
-(** How many chunks each domain slot has executed since [create] —
-    utilization telemetry (timing-dependent, informational only). *)
-
-val default_domains : unit -> int
-(** Domain count for {!global}: the last {!set_default_domains} value, else
-    [TQEC_DOMAINS] from the environment, else 1. *)
-
 val set_default_domains : int -> unit
-(** Override the default (e.g. from a [--domains] flag). If the global pool
-    already exists with a different size it is shut down and re-created on
-    the next {!global}. *)
+(** Override the size of {!global}. If the global pool already exists with
+    a different size it is shut down and re-created on the next {!global}. *)
 
 val global : unit -> t
-(** The process-wide shared pool, created lazily at {!default_domains}
-    size. Safe to call from any domain (callers inside a pool task get the
+(** The process-wide shared pool, created lazily at the last
+    {!set_default_domains} size, else [TQEC_DOMAINS] from the environment,
+    else 1. Safe to call from any domain (callers inside a pool task get the
     pool but must not submit to it — see {!in_worker}). *)

@@ -8,7 +8,6 @@ module Pool = Tqec_prelude.Pool
 module Rng = Tqec_prelude.Rng
 module Flow = Tqec_core.Flow
 module Router = Tqec_route.Router
-module P = Tqec_place.Place25d
 
 let with_pool ~domains f =
   let pool = Pool.create ~domains () in
@@ -118,15 +117,6 @@ let test_shutdown_semantics () =
   | _ -> Alcotest.fail "submission after shutdown must raise"
   | exception Failure _ -> ()
 
-let test_tasks_per_worker () =
-  with_pool ~domains:2 (fun pool ->
-      let (_ : int array) = Pool.parallel_init pool 40 Fun.id in
-      let per_worker = Pool.tasks_per_worker pool in
-      Alcotest.(check int) "one utilization slot per domain" 2
-        (Array.length per_worker);
-      Alcotest.(check int) "chunks executed sum to the job size" 40
-        (Array.fold_left ( + ) 0 per_worker))
-
 (* Rng.stream: per-task streams are a pure function of (root, index) and
    pairwise independent in their first draws. *)
 let test_rng_streams () =
@@ -168,28 +158,6 @@ let test_flow_bit_identical_across_domains () =
   Alcotest.(check int) "same rip-up schedule"
     f1.Flow.routing.Router.iterations_used f3.Flow.routing.Router.iterations_used
 
-(* Multi-start placement: with chains > 1 the chains' RNG streams are keyed
-   by chain index, so the winning placement (and hence the whole layout) is
-   also independent of the domain count. *)
-let test_multi_chain_deterministic () =
-  let options =
-    { fast_options with Flow.place = { fast_options.Flow.place with P.chains = 3 } }
-  in
-  let circuit = fig4_circuit () in
-  let f1 = run_with_domains ~options ~domains:1 circuit in
-  let f2 = run_with_domains ~options ~domains:2 circuit in
-  Alcotest.(check int) "same volume with 3 chains" f1.Flow.volume f2.Flow.volume;
-  Alcotest.(check bool) "same routed geometry with 3 chains" true
-    (Router.routed_segments f1.Flow.routing
-    = Router.routed_segments f2.Flow.routing);
-  (* The multi-start telemetry is part of the contract: chain count and the
-     (deterministic) winner index are recorded on the placement stage. *)
-  Alcotest.(check int) "sa_chains counter" 3 (Flow.stage_counter f1 "placement" "sa_chains");
-  let winner = Flow.stage_counter f1 "placement" "sa_winner_chain" in
-  Alcotest.(check bool) "winner chain in range" true (winner >= 0 && winner < 3);
-  Alcotest.(check int) "winner identical across domain counts" winner
-    (Flow.stage_counter f2 "placement" "sa_winner_chain")
-
 let suites =
   [ ( "prelude.pool",
       [ Alcotest.test_case "init ordering under chunk sizes" `Quick test_init_ordering;
@@ -199,9 +167,6 @@ let suites =
         Alcotest.test_case "nested fail-fast" `Quick test_nested_fail_fast;
         Alcotest.test_case "in_worker flag" `Quick test_in_worker_flag;
         Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
-        Alcotest.test_case "tasks per worker" `Quick test_tasks_per_worker;
         Alcotest.test_case "rng streams" `Quick test_rng_streams;
         Alcotest.test_case "flow bit-identical across domains" `Quick
-          test_flow_bit_identical_across_domains;
-        Alcotest.test_case "multi-chain deterministic" `Quick
-          test_multi_chain_deterministic ] ) ]
+          test_flow_bit_identical_across_domains ] ) ]
