@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section, plus Bechamel micro-benchmarks of the core kernels.
 
-   Environment knobs:
+   Environment knobs the harness reads (the library's TQEC_SA_CHECK audit
+   applies too, see place25d.mli):
      TQEC_EFFORT=fast|normal|full   quality-vs-time budgets (effort.mli)
      TQEC_BENCH_ONLY=name1,name2    restrict to a benchmark subset
-     TQEC_SKIP_BECHAMEL=1           skip the Bechamel micro-bench section *)
+     TQEC_SKIP_BECHAMEL=1           skip the Bechamel micro-bench section
+     TQEC_CACHE_DIR=dir             --json: add cold/warm/reroute cache runs *)
 
 module Flow = Tqec_core.Flow
 module Stats = Tqec_icm.Stats
@@ -66,8 +68,6 @@ type flows = {
   ours : Flow.t;
   no_bridge : Flow.t;
   conference : Flow.t;
-  no_friends : Flow.t option;
-      (* extra ablation, expensive: enable with TQEC_BENCH_FRIENDS=1 *)
 }
 
 let flow_cache : (string, flows) Hashtbl.t = Hashtbl.create 8
@@ -87,18 +87,7 @@ let flows_of prep =
       let conference =
         Flow.run ~options:{ options with Flow.primal_groups = false } prep.circuit
       in
-      let no_friends =
-        if Sys.getenv_opt "TQEC_BENCH_FRIENDS" = None then None
-        else begin
-          Printf.eprintf "[bench] compressing %s (w/o friend nets)...\n%!"
-            prep.spec.Benchmarks.name;
-          (* Without friend terminals every net sharing a pin must reach the
-             exact pin cell, so give the router a short leash. *)
-          let options = Tqec_core.Flow.scale_options ~route_iterations:10 options in
-          Some (Flow.run ~options:{ options with Flow.friend_aware = false } prep.circuit)
-        end
-      in
-      let f = { ours; no_bridge; conference; no_friends } in
+      let f = { ours; no_bridge; conference } in
       Hashtbl.replace flow_cache prep.spec.Benchmarks.name f;
       f
 
@@ -264,33 +253,7 @@ let table5 () =
       [ "Benchmark"; "W/o vol"; "Ratio"; "W/o t(s)"; "W/ vol"; "W/ t(s)"; "W/o nets";
         "W/ nets" ]
     rows;
-  print_endline "(paper: bridging reduces volume 1.41x on average and speeds the flow up)";
-
-  section "table5x" "friend-net-aware routing ablation (extra, motivated by SIII-D2)";
-  let rows =
-    List.filter_map
-      (fun prep ->
-        let f = flows_of prep in
-        match f.no_friends with
-        | None -> None
-        | Some nf ->
-            Some
-              [ prep.spec.Benchmarks.name;
-                Table.fmt_int nf.Flow.volume;
-                ratio nf.Flow.volume f.ours.Flow.volume;
-                Table.fmt_int f.ours.Flow.volume;
-                string_of_int (List.length nf.Flow.routing.Tqec_route.Router.failed);
-                string_of_int (List.length f.ours.Flow.routing.Tqec_route.Router.failed) ])
-      (Lazy.force flow_preps)
-  in
-  if rows = [] then
-    print_endline "(skipped; set TQEC_BENCH_FRIENDS=1 to run this expensive ablation)"
-  else
-    Table.print
-      ~header:
-        [ "Benchmark"; "No-friend vol"; "Ratio"; "Ours vol"; "No-friend fails";
-          "Ours fails" ]
-      rows
+  print_endline "(paper: bridging reduces volume 1.41x on average and speeds the flow up)"
 
 (* ------------------------------------------------------------------ *)
 (* Table VI — runtime breakdown                                         *)

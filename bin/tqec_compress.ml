@@ -47,6 +47,11 @@ let run benchmark real_file seed sa_iterations route_iterations tiers
                 Tqec_place.Place25d.tiers;
                 seed } }
       in
+      (match Tqec_core.Flow.check_options options with
+       | Ok () -> ()
+       | Error msg ->
+           prerr_endline ("tqec_compress: " ^ msg);
+           exit 1);
       let cache = Option.map (fun dir -> Tqec_artifact.Store.create ~dir ()) cache_dir in
       let flow = Tqec_core.Flow.run ~options ?cache circuit in
       let open Tqec_core.Flow in

@@ -3,8 +3,9 @@
 
    The manifest is a JSON object with a "jobs" list; each job names a
    built-in benchmark ("benchmark") or a RevLib file ("real") plus optional
-   per-job option overrides (any other field is an error, so a misspelt
-   override cannot run silently with the default):
+   per-job option overrides (any other field, or an out-of-range value
+   such as "region_margin": -5, is an error reported before any job runs,
+   so a bad override cannot run silently):
 
      { "jobs": [
          { "name": "a", "benchmark": "4gt10-v1_81", "sa_iterations": 2000 },
@@ -161,7 +162,9 @@ let run manifest cache_dir out =
   in
   List.iteri
     (fun index job ->
-      try check_fields job
+      try
+        check_fields job;
+        Result.iter_error (m_err "%s") (Flow.check_options (snd (options_of job)))
       with Manifest msg ->
         Printf.eprintf "tqec_serve: job %d: %s\n" index msg;
         exit 1)

@@ -448,28 +448,17 @@ let of_sa_params (p : Sa.params) =
   Json.Obj
     [ ("iterations", Json.Int p.Sa.iterations);
       ("start_temp", Json.Float p.Sa.start_temp);
-      ("end_temp", Json.Float p.Sa.end_temp);
-      ("restore_best", Json.Bool p.Sa.restore_best) ]
+      ("end_temp", Json.Float p.Sa.end_temp) ]
 
 let of_place_config (c : Place25d.config) =
   Json.Obj
     [ ( "tiers",
         match c.Place25d.tiers with None -> Json.Null | Some t -> Json.Int t );
       ("sa", of_sa_params c.Place25d.sa);
-      ("spacing", Json.Int c.Place25d.spacing);
-      ("z_gap", Json.Int c.Place25d.z_gap);
-      ("alpha", Json.Float c.Place25d.alpha);
-      ("beta", Json.Float c.Place25d.beta);
-      ("gamma", Json.Float c.Place25d.gamma);
-      ("aspect_target", Json.Float c.Place25d.aspect_target);
       ("seed", Json.Int c.Place25d.seed) ]
 
 let of_route_config (c : Router.config) =
   Json.Obj
     [ ("max_iterations", Json.Int c.Router.max_iterations);
       ("region_margin", Json.Int c.Router.region_margin);
-      ("region_expand", Json.Int c.Router.region_expand);
-      ("history_increment", Json.Float c.Router.history_increment);
-      ("sky", Json.Int c.Router.sky);
-      ("friend_aware", Json.Bool c.Router.friend_aware);
-      ("max_expansions", Json.Int c.Router.max_expansions) ]
+      ("friend_aware", Json.Bool c.Router.friend_aware) ]

@@ -47,6 +47,16 @@ let scale_options ?sa_iterations ?route_iterations options =
   in
   { options with place; route }
 
+let check_options { place; route; _ } =
+  let bad field bound v =
+    Error (Printf.sprintf "%s must be >= %d (got %d)" field bound v)
+  in
+  match (place.Place25d.tiers, route) with
+  | Some t, _ when t < 1 -> bad "tiers" 1 t
+  | _, { Router.max_iterations = n; _ } when n < 1 -> bad "route_iterations" 1 n
+  | _, { Router.region_margin = m; _ } when m < 0 -> bad "region_margin" 0 m
+  | _ -> Ok ()
+
 (* ------------------------------------------------------------------ *)
 (* The four pipeline stages (paper Fig. 2), each implementing the
    uniform Tqec_artifact.Stage.S signature: a typed input/output, a

@@ -36,6 +36,11 @@ val default_options : options
 val scale_options : ?sa_iterations:int -> ?route_iterations:int -> options -> options
 (** Convenience for per-benchmark effort budgets. *)
 
+val check_options : options -> (unit, string) result
+(** [Error] naming the first out-of-range setting: [tiers] or
+    [route_iterations] (the router's [max_iterations]) below 1, or
+    [region_margin] below 0. The front ends call it before any stage runs. *)
+
 (** Stage 1: gate decomposition, ICM conversion, canonical description,
     modularization and Table-I statistics. *)
 module Preprocess : sig

@@ -8,25 +8,20 @@ module Bridge = Tqec_bridge.Bridge
 type config = {
   tiers : int option;
   sa : Sa.params;
-  spacing : int;
-  z_gap : int;
-  alpha : float;
-  beta : float;
-  gamma : float;
-  aspect_target : float;
   seed : int;
 }
 
-let default_config =
-  { tiers = None;
-    sa = Sa.default_params;
-    spacing = 1;
-    z_gap = 2;
-    alpha = 0.5;
-    beta = 0.5;
-    gamma = 0.25;
-    aspect_target = 1.5;
-    seed = 42 }
+let default_config = { tiers = None; sa = Sa.default_params; seed = 42 }
+
+(* Floorplan constants: in-plane module spacing (separation plus a routing
+   lane), free routing layers between tiers, and the weights and target of
+   Phi (§III-C2). *)
+let spacing = 1
+let z_gap = 2
+let alpha = 0.5
+let beta = 0.5
+let gamma = 0.25
+let aspect_target = 1.5   (* tier-plane width over depth *)
 
 type placement = {
   cluster : Cluster.t;
@@ -97,21 +92,21 @@ let initial_state cl ~ntiers =
     cluster_tier;
     cluster_idx }
 
-let pack_all s ~spacing = Array.map (fun tree -> Bstar.pack ~spacing tree) s.trees
+let pack_all s = Array.map (fun tree -> Bstar.pack ~spacing tree) s.trees
 
 (* Tier heights are uniform (every module is 2 units tall), so tier [t]
    starts at z = t * (2 + z_gap). The vertical gap is a routing plane and may
    be narrower than the in-plane spacing: pins sit on width faces, so no pin
    mouth ever opens into the z gap. *)
-let tier_z ~z_gap t = t * (2 + z_gap)
+let tier_z t = t * (2 + z_gap)
 
-let cluster_positions cl s packs ~z_gap =
+let cluster_positions cl s packs =
   Array.init (Cluster.num_clusters cl) (fun c ->
       let t = s.cluster_tier.(c) and idx = s.cluster_idx.(c) in
       let p : Bstar.packing = packs.(t) in
-      Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z ~z_gap t))
+      Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z t))
 
-let overall_dims packs ~z_gap =
+let overall_dims packs =
   let d = Array.fold_left (fun acc (p : Bstar.packing) -> max acc p.Bstar.span_x) 0 packs in
   let w = Array.fold_left (fun acc (p : Bstar.packing) -> max acc p.Bstar.span_y) 0 packs in
   let ntiers = Array.length packs in
@@ -202,8 +197,6 @@ type eval = {
 (* Immutable per-anneal tables. *)
 type anneal_ctx = {
   cl : Cluster.t;
-  spacing : int;
-  z_gap : int;
   na_cluster : int array;   (* net index -> cluster of pin_a *)
   nb_cluster : int array;
   na_rx : int array;        (* net index -> pin_a offset within its cluster *)
@@ -216,7 +209,7 @@ type anneal_ctx = {
   tsl : int array array;    (* the TSL groups, members in required order *)
 }
 
-let make_ctx cl nets ~spacing ~z_gap =
+let make_ctx cl nets =
   let pins = cl.Cluster.modular.Modular.pins in
   let nets_a = Array.of_list nets in
   let cluster_of pin = cl.Cluster.module_cluster.(pins.(pin).Modular.owner) in
@@ -230,8 +223,6 @@ let make_ctx cl nets ~spacing ~z_gap =
   and py (p : Point3.t) = p.Point3.y
   and pz (p : Point3.t) = p.Point3.z in
   { cl;
-    spacing;
-    z_gap;
     na_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_a) nets_a;
     nb_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_b) nets_a;
     na_rx = rel pin_a px;
@@ -408,10 +399,10 @@ let[@tqec.hot] measure_net ctx e i =
   + abs (e.cy.(a) + ctx.na_ry.(i) - (e.cy.(b) + ctx.nb_ry.(i)))
   + abs (e.cz.(a) + ctx.na_rz.(i) - (e.cz.(b) + ctx.nb_rz.(i)))
 
-let[@tqec.hot] update_position ctx e c =
+let[@tqec.hot] update_position e c =
   let t = e.state.cluster_tier.(c) and idx = e.state.cluster_idx.(c) in
   let p : Bstar.packing = e.packs.(t) in
-  let x = p.Bstar.xs.(idx) and y = p.Bstar.ys.(idx) and z = tier_z ~z_gap:ctx.z_gap t in
+  let x = p.Bstar.xs.(idx) and y = p.Bstar.ys.(idx) and z = tier_z t in
   if x <> e.cx.(c) || y <> e.cy.(c) || z <> e.cz.(c) then begin
     let j = e.journal in
     j.moved_c.(j.n_moved) <- c;
@@ -432,11 +423,11 @@ let[@tqec.hot] sync_positions ctx e =
   for k = 0 to j.n_touched - 1 do
     let row = s.slot_cluster.(j.touched.(k)) in
     for idx = 0 to Array.length row - 1 do
-      update_position ctx e row.(idx)
+      update_position e row.(idx)
     done
   done;
   for k = 0 to j.n_slots - 1 do
-    update_position ctx e j.slot_c.(k)
+    update_position e j.slot_c.(k)
   done;
   for k = 0 to j.n_moved - 1 do
     let nets = ctx.index.(j.moved_c.(k)) in
@@ -490,7 +481,7 @@ let resync ctx e =
   let j = e.journal in
   for k = 0 to j.n_touched - 1 do
     let t = j.touched.(k) in
-    e.packs.(t) <- Bstar.pack ~spacing:ctx.spacing e.state.trees.(t)
+    e.packs.(t) <- Bstar.pack ~spacing e.state.trees.(t)
   done;
   enforce_tsl ctx e;
   sync_positions ctx e
@@ -503,7 +494,7 @@ let perturb ctx rng e =
 (* The initial evaluation runs the same TSL enforcement with every tier
    counted as touched, then measures every position and net. *)
 let eval_of_state ctx s =
-  let packs = pack_all s ~spacing:ctx.spacing in
+  let packs = pack_all s in
   let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
   let e =
     { state = s;
@@ -523,7 +514,7 @@ let eval_of_state ctx s =
     let t = s.cluster_tier.(c) and idx = s.cluster_idx.(c) in
     e.cx.(c) <- packs.(t).Bstar.xs.(idx);
     e.cy.(c) <- packs.(t).Bstar.ys.(idx);
-    e.cz.(c) <- tier_z ~z_gap:ctx.z_gap t
+    e.cz.(c) <- tier_z t
   done;
   for i = 0 to nnets - 1 do
     e.net_len.(i) <- measure_net ctx e i;
@@ -565,7 +556,7 @@ let blit_eval ~src ~dst =
 
 (* Tier count heuristic: balance the stack height against the tier
    footprint so the result is roughly as tall as a tier plane is deep. *)
-let default_tier_count cl ~spacing ~z_gap =
+let default_tier_count cl =
   let area =
     Array.fold_left
       (fun acc c ->
@@ -610,28 +601,27 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
   let ntiers =
     match config.tiers with
     | Some t -> max 1 (min t (Cluster.num_clusters cl))
-    | None -> default_tier_count cl ~spacing:config.spacing ~z_gap:config.z_gap
+    | None -> default_tier_count cl
   in
-  let spacing = config.spacing and z_gap = config.z_gap in
-  let ctx = make_ctx cl nets ~spacing ~z_gap in
+  let ctx = make_ctx cl nets in
   let init = eval_of_state ctx (initial_state cl ~ntiers) in
   (* Normalization constants from the initial solution. *)
-  let d0, w0, h0 = overall_dims init.packs ~z_gap in
+  let d0, w0, h0 = overall_dims init.packs in
   let v_norm = float_of_int (max 1 (d0 * w0 * h0)) in
   let l_norm = float_of_int (max 1 init.wirelength) in
   let combine ~volume_term ~wirelength_term ~aspect_term =
     volume_term +. wirelength_term +. aspect_term
   in
   let cost e =
-    let d, w, h = overall_dims e.packs ~z_gap in
+    let d, w, h = overall_dims e.packs in
     let v = float_of_int (d * w * h) in
     let l = float_of_int e.wirelength in
     (* Tier-plane aspect: keeping width and depth comparable avoids the
        degenerate snake floorplans that pack well but route terribly. *)
     let r = float_of_int w /. float_of_int (max 1 d) in
-    let volume_term = config.alpha *. v /. v_norm in
-    let wirelength_term = config.beta *. l /. l_norm in
-    let aspect_term = config.gamma *. ((r -. config.aspect_target) ** 2.0) in
+    let volume_term = alpha *. v /. v_norm in
+    let wirelength_term = beta *. l /. l_norm in
+    let aspect_term = gamma *. ((r -. aspect_target) ** 2.0) in
     if Trace.enabled trace then begin
       Trace.observe trace "cost/volume_term" volume_term;
       Trace.observe trace "cost/wirelength_term" wirelength_term;
@@ -643,16 +633,16 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
      deltas entirely. Must stay the mirror image of [cost]. *)
   let full_cost e =
     let packs = Array.map (fun tree -> Bstar.repack ~spacing tree) e.state.trees in
-    let d, w, h = overall_dims packs ~z_gap in
+    let d, w, h = overall_dims packs in
     let v = float_of_int (d * w * h) in
     let l =
-      float_of_int (wirelength_of cl (cluster_positions cl e.state packs ~z_gap) nets)
+      float_of_int (wirelength_of cl (cluster_positions cl e.state packs) nets)
     in
     let r = float_of_int w /. float_of_int (max 1 d) in
     combine
-      ~volume_term:(config.alpha *. v /. v_norm)
-      ~wirelength_term:(config.beta *. l /. l_norm)
-      ~aspect_term:(config.gamma *. ((r -. config.aspect_target) ** 2.0))
+      ~volume_term:(alpha *. v /. v_norm)
+      ~wirelength_term:(beta *. l /. l_norm)
+      ~aspect_term:(gamma *. ((r -. aspect_target) ** 2.0))
   in
   { a_rng = Rng.create config.seed;
     a_init = init;
@@ -664,7 +654,6 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
 (* [?pool] is accepted and ignored: placement is one anneal on the calling
    domain (see place25d.mli). *)
 let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
-  let z_gap = config.z_gap and spacing = config.spacing in
   let a = make_annealer ~trace config cl nets in
   let check, check_every =
     match sa_check_every () with
@@ -676,14 +665,14 @@ let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
       ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
   in
   let final = stats.Sa.best.state in
-  let packs = pack_all final ~spacing in
-  let cluster_pos = cluster_positions cl final packs ~z_gap in
+  let packs = pack_all final in
+  let cluster_pos = cluster_positions cl final packs in
   let module_pos =
     Array.mapi
       (fun m off -> Point3.add cluster_pos.(cl.Cluster.module_cluster.(m)) off)
       cl.Cluster.module_offset
   in
-  let d, w, h = overall_dims packs ~z_gap in
+  let d, w, h = overall_dims packs in
   let tier_of_cluster = Array.copy final.cluster_tier in
   let wirelength = wirelength_of cl cluster_pos nets in
   if Trace.enabled trace then begin
@@ -719,7 +708,7 @@ let equal_packing (a : Bstar.packing) (b : Bstar.packing) =
   && a.Bstar.span_y = b.Bstar.span_y
 
 (* Everything a move may touch; journal and spare trees are scratch. *)
-let same_eval ~spacing a b =
+let same_eval a b =
   let sa = a.state and sb = b.state in
   Array.for_all2 Bstar.equal sa.trees sb.trees
   && Array.for_all2 equal_packing a.packs b.packs
@@ -755,7 +744,7 @@ let check_incremental_cost ?(iterations = 200) config cl nets =
         | None -> walk (i + 1)
         | Some before ->
             undo e;
-            if same_eval ~spacing:config.spacing before e then walk (i + 1)
+            if same_eval before e then walk (i + 1)
             else fail "undo of move %d did not restore the evaluation" i
     end
   in

@@ -7,23 +7,19 @@
 
       Phi = alpha·V/V_norm + beta·L/L_norm + gamma·(R − R_target)^2
 
-    with alpha = beta = 0.5, gamma = 0.25 and a 1:2 target aspect ratio, as
-    in the paper. After every
-    perturbation the time-dependent super-modules of each TSL are reallocated
-    to the x-sorted positions so T-gate measurement ordering always holds
-    (the clusters of a TSL are equalized in size first, making reallocation
-    position-neutral). *)
+    with fixed alpha = beta = 0.5 and gamma = 0.25. R is the tier-plane
+    aspect ratio, width (y) over depth (x, the time axis), and R_target is
+    1.5: the paper's text in this repository names the term but not its
+    target, so the value is this implementation's choice. Modules sit one
+    cell apart in each tier plane, and two free routing layers separate
+    consecutive tiers. After every perturbation the time-dependent
+    super-modules of each TSL are reallocated to the x-sorted positions so
+    T-gate measurement ordering always holds (the clusters of a TSL are
+    equalized in size first, making reallocation position-neutral). *)
 
 type config = {
   tiers : int option;      (** [None]: ⌈∛(total volume)⌉-driven heuristic *)
   sa : Sa.params;
-  spacing : int;           (** in-plane module spacing (separation + routing
-                               lanes), default 1 *)
-  z_gap : int;             (** free inter-tier routing layers, default 2 *)
-  alpha : float;
-  beta : float;
-  gamma : float;
-  aspect_target : float;   (** target tier-plane aspect ratio, width over depth *)
   seed : int;
 }
 

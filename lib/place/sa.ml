@@ -5,11 +5,9 @@ type params = {
   iterations : int;
   start_temp : float;
   end_temp : float;
-  restore_best : bool;
 }
 
-let default_params =
-  { iterations = 2000; start_temp = 1.0; end_temp = 0.001; restore_best = true }
+let default_params = { iterations = 2000; start_temp = 1.0; end_temp = 0.001 }
 
 type 'a stats = {
   best : 'a;
@@ -71,14 +69,12 @@ let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~blit
       undo current
     end
   done;
-  let final = if params.restore_best then best else current in
-  let final_cost = if params.restore_best then !best_cost else !current_cost in
   if Trace.enabled trace then begin
     Trace.incr ~n:n trace "sa_moves";
     Trace.incr ~n:!accepted trace "sa_accepted";
     Trace.incr ~n:!rejected trace "sa_rejected";
     Trace.incr ~n:!improved trace "sa_improved";
-    Trace.gauge trace "sa_best_cost" final_cost
+    Trace.gauge trace "sa_best_cost" !best_cost
   end;
-  { best = final; best_cost = final_cost; accepted = !accepted; rejected = !rejected;
+  { best; best_cost = !best_cost; accepted = !accepted; rejected = !rejected;
     improved = !improved }

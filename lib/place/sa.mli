@@ -9,7 +9,6 @@ type params = {
   iterations : int;       (** total perturbation attempts *)
   start_temp : float;
   end_temp : float;
-  restore_best : bool;    (** return the best-seen solution, not the last *)
 }
 
 val default_params : params
@@ -41,8 +40,7 @@ val run :
     only ever called right after the [perturb] (and [cost]) it reverts.
     The best solution seen lives in one buffer made once by [copy] (of
     [init], before the first move) and refreshed by [blit ~src ~dst] on each
-    new best; no other copy is made. The returned [best] is that buffer,
-    or with [restore_best = false] the live solution [init] itself.
+    new best; no other copy is made. The returned [best] is that buffer.
     Deterministic given the RNG: per move, the RNG is drawn by [perturb]
     and then at most once by the acceptance test. [trace] (default
     {!Tqec_obs.Trace.noop}) receives move-acceptance counters without

@@ -10,21 +10,16 @@ module Place25d = Tqec_place.Place25d
 type config = {
   max_iterations : int;
   region_margin : int;
-  region_expand : int;
-  history_increment : float;
-  sky : int;
   friend_aware : bool;
-  max_expansions : int;
 }
 
-let default_config =
-  { max_iterations = 30;
-    region_margin = 3;
-    region_expand = 6;
-    history_increment = 3.0;
-    sky = 6;
-    friend_aware = true;
-    max_expansions = 100_000 }
+let default_config = { max_iterations = 30; region_margin = 3; friend_aware = true }
+
+(* Schedule constants (§III-D). *)
+let region_expand = 6          (* region growth per failed attempt *)
+let history_increment = 3.0    (* PathFinder history added per congested cell *)
+let sky = 6                    (* free layers kept above the top tier *)
+let max_expansions = 100_000   (* A* node budget per attempt (fail-fast) *)
 
 type routed_net = { net : Bridge.net; path : Point3.t list }
 
@@ -476,9 +471,10 @@ let search_dial ws ~max_expansions ~present_penalty ~exact ~region ~starts ~goal
    ascending, then push order — by keying the max-heap on the composite
    [-(f * 2^21 + seq)]: distinct sequence numbers make every key unique, so
    the heap's arbitrary tie behavior never shows. f stays far below 2^41
-   and a search cannot reach 2^21 pushes (pushes are bounded by 6 per
-   expansion plus the seeds, and the expansion budget is a config field),
-   so the packing cannot overflow or collide. Byte-identical results to
+   and, at the [max_expansions] budget, pushes (at most 6 per expansion
+   plus the seeds) stay far below 2^21, so the packing cannot overflow or
+   collide; a whole-grid flood of 2x the grid's cells could pass 2^21 pushes
+   on grids above ~170k cells. Byte-identical results to
    [search_dial] on every input are the contract the differential suites
    pin. *)
 let seq_bits = 21
@@ -937,7 +933,7 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
   let d, w, h = placement.Place25d.dims in
   let halo = config.region_margin + 2 in
   let lo = Point3.make (-halo) (-halo) (-halo) in
-  let hi = Point3.make (d + halo) (w + halo) (h + halo + config.sky) in
+  let hi = Point3.make (d + halo) (w + halo) (h + halo + sky) in
   let base = Grid.create ~lo ~hi in
   Array.iter
     (fun (md : Modular.module_) ->
@@ -1023,7 +1019,7 @@ let init_state ?(restrict_regions = true) ?(kernel = Dial) config placement nets
     end
   in
   let search = search_kernel kernel in
-  let attempt ?(max_expansions = config.max_expansions) ?focus
+  let attempt ?(max_expansions = max_expansions) ?focus
       ?(bidir = false) ~extra ~present_penalty n =
     let pa = pin_pos n.Bridge.pin_a and pb = pin_pos n.Bridge.pin_b in
     let region =
@@ -1114,7 +1110,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
           match interior with
           | [] | [ _ ] -> ()
           | _ ->
-              st.ws.history.(cell) <- st.ws.history.(cell) +. config.history_increment;
+              st.ws.history.(cell) <- st.ws.history.(cell) +. history_increment;
               refresh_cost st.ws cell;
               (* Keep the net that cannot go anywhere else: one whose own pin
                  mouth this cell is; otherwise the earliest-committed. *)
@@ -1229,7 +1225,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       Option.map
         (fun box ->
           Cuboid.inflate box
-            (config.region_margin + (config.region_expand * min 3 s)))
+            (config.region_margin + (region_expand * min 3 s)))
         (Hashtbl.find_opt conflict_box n.Bridge.net_id)
   in
   let iter = ref 0 in
@@ -1258,36 +1254,31 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
        neighbourhood it has already proven exhausted; its doubled region
        is retried at the decaying budget, and by the time the present
        penalty has saturated such searches are nearly pure waste (floor: a
-       sixteenth of the configured budget — failing nets keep growing
+       sixteenth of [max_expansions] — failing nets keep growing
        their region and retrying until the give-up rule below parks
        them). *)
     let pass_budget =
-      if !iter <= 3 then config.max_expansions
+      if !iter <= 3 then max_expansions
       else
-        max (config.max_expansions / 16)
-          (config.max_expansions lsr (!iter - 3))
+        max (max_expansions / 16)
+          (max_expansions lsr (!iter - 3))
     in
     let last_rite (n : Bridge.net) =
       region_of ~extra:(get_extra n) n = Grid.box st.ws.grid
     in
     let net_budget (n : Bridge.net) =
       if last_rite n && get_fail_streak n.Bridge.net_id < 2 then
-        (* True last rite: the net failed its previous search and the
-           region has escalated to the whole grid, so the give-up rule
-           below parks it if this search fails too. On grids larger than
-           the configured per-search budget a whole-grid flood cannot even
-           visit every cell at [max_expansions], so the verdict would be
-           meaningless; grant one exhaustive flood (2x grid cells absorbs
-           weighted-A* re-expansions) so a parked net is provably
-           unroutable under the current layout. Whole-grid regions with no
-           failure streak are routine on small grids (a few rip-up growth
-           steps cover them) and keep the ordinary budget — a budget only
-           changes the bill for searches that fail, and charging routine
-           failures an exhaustive flood was measured at ~+1M expansions on
-           4gt4 for zero routed nets. *)
-        max config.max_expansions (2 * grid_cells)
+        (* A whole-grid search at a fail streak of 0 or 1 gets at least 2x
+           the grid's cells (absorbing weighted-A* re-expansions), so on a
+           grid larger than [max_expansions] it can visit every reachable
+           cell; on smaller grids this is the ordinary budget. It is the
+           only exhaustive budget: a net whose region first spans the whole
+           grid at a streak of 2 or more gets the decaying [pass_budget],
+           and the give-up rule below parks it if that truncated search
+           fails. *)
+        max max_expansions (2 * grid_cells)
       else if get_fail_streak n.Bridge.net_id >= 1 then pass_budget
-      else config.max_expansions
+      else max_expansions
     in
     let unrouted = ref [] in
     let on_committed n rn =
@@ -1305,17 +1296,15 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       (* Geometric region growth: a failed search over a region is paid
          in full, so take big steps toward the whole grid. *)
       Hashtbl.replace extra n.Bridge.net_id
-        (max config.region_expand (2 * get_extra n));
+        (max region_expand (2 * get_extra n));
       let s = get_fail_streak n.Bridge.net_id + 1 in
       Hashtbl.replace fail_streak n.Bridge.net_id s;
-      (* Give-up rule: a search that failed over a region already spanning
-         the whole grid — at the exhaustive last-resort budget [net_budget]
-         grants such searches — has exhausted every reachable cell under
-         the current layout; re-flooding the grid each remaining pass
-         almost never changes the answer, only the bill. Park the net among
-         the failures. (Failed nets never commit, so abandoning one
-         perturbs no other net's costs: the rest of the schedule is
-         unchanged.) *)
+      (* Give-up rule: a net whose failed search covered the whole grid is
+         parked among the failures so it does not re-flood the grid every
+         remaining pass. This is a budget verdict, not a proof: the search
+         often ran at a truncated [pass_budget] (on rd84_142 at fast effort,
+         every parked net did), so a parked net may be routable. (Failed
+         nets never commit, so parking one perturbs no other net's costs.) *)
       if failed_region = Grid.box st.ws.grid then
         abandoned := n :: !abandoned
       else unrouted := n :: !unrouted
@@ -1353,7 +1342,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     List.iter
       (fun (net : Bridge.net) ->
         let g =
-          config.region_expand
+          region_expand
           * (if streak net.Bridge.net_id >= 2 then 2 else 1)
         in
         Hashtbl.replace extra net.Bridge.net_id (get_extra net + g))
@@ -1468,6 +1457,8 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     Trace.incr ~n:ws.n_bidir trace "bidir_searches";
     Trace.incr ~n:!iterations_used trace "ripup_passes";
     Trace.incr ~n:!total_ripped trace "nets_ripped";
+    Trace.incr ~n:(List.length !abandoned) trace "nets_parked";
+    Trace.incr ~n:(List.length !pending) trace "nets_pending";
     Trace.incr ~n:(List.length stripped) trace "nets_stripped";
     Trace.incr ~n:(List.length routed) trace "nets_routed";
     Trace.incr ~n:(List.length failed) trace "nets_failed";
@@ -1537,12 +1528,12 @@ module Search = struct
 
   let pushes t = t.n_pushes
 
-  let run ?(kernel = Dial) ?(exact = false) ?(max_expansions = 100_000)
+  let run ?(kernel = Dial) ?(exact = false) ?(max_expansions = max_expansions)
       ?(present_penalty = 2.0) t ~region ~starts ~goals ~target =
     search_kernel kernel t ~max_expansions ~present_penalty ~exact ~region
       ~starts ~goals ~target
 
-  let run_bidir ?(exact = false) ?(max_expansions = 100_000)
+  let run_bidir ?(exact = false) ?(max_expansions = max_expansions)
       ?(present_penalty = 2.0) t ~region ~start ~goal =
     search_bidir t ~max_expansions ~present_penalty ~exact ~region ~start ~goal
 

@@ -31,12 +31,8 @@
 
 type config = {
   max_iterations : int;   (** routing passes, >= 1 *)
-  region_margin : int;    (** initial slack around each net's pin bbox *)
-  region_expand : int;    (** region growth per failed attempt *)
-  history_increment : float;  (** PathFinder history added on congestion *)
-  sky : int;              (** free layers kept above the top tier *)
+  region_margin : int;    (** initial slack around each net's pin bbox, >= 0 *)
   friend_aware : bool;
-  max_expansions : int;   (** A* node budget per attempt (fail-fast) *)
 }
 
 val default_config : config

@@ -209,8 +209,10 @@ let test_cache_key_properties () =
    digests of the modular description and the nets instead of their JSON;
    the preprocess key and all four stored-bytes digests did not. The
    placement key changed once more, on purpose, when multi-start annealing
-   was deleted and the placement config lost its "chains" field; no other
-   key and no stored bytes changed. *)
+   was deleted and the placement config lost its "chains" field. The
+   placement and routing keys changed once more, on purpose, when the
+   fixed floorplan, Phi, SA and routing-schedule constants left their
+   configs; no other key and no stored bytes changed. *)
 let pinned_keys =
   [ ( "preprocess",
       "f1e02623e7cf2fbd1fac599287adfed2a969a2fd734dd33f62e00e2f6ba78451",
@@ -219,10 +221,10 @@ let pinned_keys =
       "6763d1024a41e70851c8ec7a9bedcce1006583388d3c05df92b395634e08b92c",
       "a8c876f26fb04ffaf4ee53afbab3d086cffe404dde44a1e69ad33ca6d02869a7" );
     ( "placement",
-      "c3933d0cac41d2c0f612e693e0e91e59452fd7ad0f214594bef17930bcab679d",
+      "b73d5fb24c21d74cbf27d5eac816746608a93b5fc413121cece2d01d2ec6260c",
       "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
     ( "routing",
-      "c6a1bdd7a4db7134305cf739f9093f4a7ba7e8e5616a1d908a1bc5b293d1db03",
+      "0c090dc448cb64dca1c5d38636b24ce2facae597b23fd33c5e572ae47d577699",
       "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
 
 let read_file path =

@@ -273,6 +273,22 @@ let test_scale_options () =
   Alcotest.(check int) "sa" 123 o.Flow.place.Tqec_place.Place25d.sa.Tqec_place.Sa.iterations;
   Alcotest.(check int) "route" 7 o.Flow.route.Tqec_route.Router.max_iterations
 
+let test_check_options () =
+  let d = Flow.default_options in
+  let with_route f = { d with Flow.route = f d.Flow.route } in
+  let check what expected options =
+    Alcotest.(check (result unit string)) what expected (Flow.check_options options)
+  in
+  check "defaults" (Ok ()) d;
+  check "tiers" (Error "tiers must be >= 1 (got -3)")
+    { d with Flow.place = { d.Flow.place with Tqec_place.Place25d.tiers = Some (-3) } };
+  check "route_iterations" (Error "route_iterations must be >= 1 (got 0)")
+    (Flow.scale_options ~route_iterations:0 d);
+  check "region_margin" (Error "region_margin must be >= 0 (got -5)")
+    (with_route (fun r -> { r with Tqec_route.Router.region_margin = -5 }));
+  check "region_margin 0" (Ok ())
+    (with_route (fun r -> { r with Tqec_route.Router.region_margin = 0 }))
+
 let suites =
   [ ( "core.flow",
       [ Alcotest.test_case "end to end" `Quick test_flow_end_to_end;
@@ -290,4 +306,5 @@ let suites =
           test_stages_independently_callable;
         Alcotest.test_case "metrics json" `Quick test_metrics_json;
         Alcotest.test_case "validate failure paths" `Quick test_validate_failure_paths;
-        Alcotest.test_case "scale options" `Quick test_scale_options ] ) ]
+        Alcotest.test_case "scale options" `Quick test_scale_options;
+        Alcotest.test_case "check options" `Quick test_check_options ] ) ]

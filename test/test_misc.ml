@@ -11,26 +11,6 @@ let test_rng_pick () =
     Alcotest.(check bool) "member" true (Array.exists (( = ) v) arr)
   done
 
-let test_sa_last_solution_mode () =
-  let rng = Rng.create 4 in
-  let stats =
-    let prev = ref 10 in
-    Tqec_place.Sa.run ~rng ~init:(ref 10)
-      ~copy:(fun x -> ref !x)
-      ~blit:(fun ~src ~dst -> dst := !src)
-      ~cost:(fun x -> float_of_int (abs !x))
-      ~perturb:(fun rng x ->
-        prev := !x;
-        x := !x + Rng.int rng 3 - 1)
-      ~undo:(fun x -> x := !prev)
-      { Tqec_place.Sa.iterations = 200; start_temp = 5.0; end_temp = 0.01;
-        restore_best = false }
-  in
-  (* With restore_best = false the reported cost is the last accepted
-     solution's cost, still consistent with the solution itself. *)
-  Alcotest.(check (float 1e-9)) "consistent" (float_of_int (abs !(stats.Tqec_place.Sa.best)))
-    stats.Tqec_place.Sa.best_cost
-
 let test_bstar_resize_affects_packing () =
   let t = Tqec_place.Bstar.create [| (2, 2); (2, 2) |] in
   let before = Tqec_place.Bstar.pack ~spacing:0 t in
@@ -104,7 +84,6 @@ let test_flow_default_options_consistent () =
 let suites =
   [ ( "misc",
       [ Alcotest.test_case "rng pick" `Quick test_rng_pick;
-        Alcotest.test_case "sa last-solution mode" `Quick test_sa_last_solution_mode;
         Alcotest.test_case "bstar resize" `Quick test_bstar_resize_affects_packing;
         Alcotest.test_case "lin of_circuit" `Quick test_lin_of_circuit_convenience;
         Alcotest.test_case "ordering edges empty" `Quick

@@ -48,7 +48,7 @@ let test_sa_restore_best () =
     run_int ~rng ~init:0
       ~cost:(fun x -> float_of_int (abs x))
       ~step:(fun rng x -> x + Rng.int rng 11 - 5)
-      { Sa.iterations = 500; start_temp = 10.0; end_temp = 0.1; restore_best = true }
+      { Sa.iterations = 500; start_temp = 10.0; end_temp = 0.1 }
   in
   Alcotest.(check (float 1e-9)) "best cost matches best" (float_of_int (abs !(stats.Sa.best)))
     stats.Sa.best_cost

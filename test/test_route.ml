@@ -3,6 +3,8 @@ open Tqec_geom
 module Grid = Tqec_route.Grid
 module Router = Tqec_route.Router
 module Bridge = Tqec_bridge.Bridge
+module Flow = Tqec_core.Flow
+module Trace = Tqec_obs.Trace
 
 (* --- grid --- *)
 
@@ -534,8 +536,33 @@ let test_search_allocation_free () =
   words_per_expansion "bidir backward" (fun () ->
       Search.run_bidir ~exact:true t ~region ~start:corner ~goal:far)
 
-(* The routing of one served instance, pinned bit for bit: the
-   route-congested benchmark's options (SA 2000, 60 passes). A change to the
+(* One instance of the route-congested benchmark under its options (SA
+   2000, 60 passes), placed once and shared by the tests below. *)
+let pinned_4gt10 =
+  lazy
+    (let noop = Trace.noop in
+     let circuit =
+       Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
+     in
+     let options = Flow.scale_options ~route_iterations:60 Flow.default_options in
+     let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
+     let bridging =
+       Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular }
+     in
+     let nets = bridging.Flow.Bridging.nets in
+     let placement =
+       (Flow.Placement.run ~trace:noop
+          { Flow.Placement.primal_groups = true;
+            max_group_size = 4;
+            config = options.Flow.place;
+            modular;
+            nets;
+            pool = None })
+         .Flow.Placement.placement
+     in
+     (options, modular, bridging, nets, placement))
+
+(* The routing of the pinned instance, pinned bit for bit. A change to the
    search kernels or their scratch must leave the routed layout, its
    artifact bytes and the search work unchanged, and the layout must route
    every net and pass the independent geometry oracle. Both kernels produce
@@ -543,29 +570,8 @@ let test_search_allocation_free () =
    pool passed to [Router.route] changes nothing: every count is pinned for
    [domains] 1 and 3 alike. *)
 let test_route_pinned_4gt10 ~domains kernel () =
-  let module Flow = Tqec_core.Flow in
-  let module Trace = Tqec_obs.Trace in
   let module Pool = Tqec_prelude.Pool in
-  let noop = Trace.noop in
-  let circuit =
-    Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
-  in
-  let options = Flow.scale_options ~route_iterations:60 Flow.default_options in
-  let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
-  let bridging =
-    Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular }
-  in
-  let nets = bridging.Flow.Bridging.nets in
-  let placement =
-    (Flow.Placement.run ~trace:noop
-       { Flow.Placement.primal_groups = true;
-         max_group_size = 4;
-         config = options.Flow.place;
-         modular;
-         nets;
-         pool = None })
-      .Flow.Placement.placement
-  in
+  let options, modular, bridging, nets, placement = Lazy.force pinned_4gt10 in
   let pool = Pool.create ~domains () in
   let trace = Trace.root "routing" in
   let r =
@@ -576,6 +582,9 @@ let test_route_pinned_4gt10 ~domains kernel () =
   Trace.close trace;
   Alcotest.(check (list int)) "no failed nets" []
     (List.map (fun n -> n.Bridge.net_id) r.Router.failed);
+  List.iter
+    (fun name -> Alcotest.(check int) name 0 (Trace.counter trace name))
+    [ "nets_parked"; "nets_pending"; "nets_stripped" ];
   let oracle =
     Tqec_verify.Verify.(
       first_error
@@ -595,6 +604,26 @@ let test_route_pinned_4gt10 ~domains kernel () =
     "050d1459ae71cb58a36ce43c712a806cd9cdd2d6416e3e9694a45676c984e1ec"
     (Tqec_prelude.Hash.sha256_hex
        (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
+
+(* Every failed net is counted under exactly one reason: parked by the
+   give-up rule, still pending when the pass cap hit, or stripped from a
+   residual overlap at the end. One pass leaves the ripped nets of the
+   pinned instance pending. *)
+let test_failed_net_accounting kernel () =
+  let _, _, _, nets, placement = Lazy.force pinned_4gt10 in
+  let trace = Trace.root "routing" in
+  let r =
+    Router.route ~trace ~kernel
+      { Router.default_config with Router.max_iterations = 1 }
+      placement nets
+  in
+  Trace.close trace;
+  let count = Trace.counter trace in
+  let failed = List.length r.Router.failed in
+  Alcotest.(check bool) "some nets fail" true (failed > 0);
+  Alcotest.(check int) "nets_failed" failed (count "nets_failed");
+  Alcotest.(check int) "parked + pending + stripped" failed
+    (count "nets_parked" + count "nets_pending" + count "nets_stripped")
 
 let prop_route_random_circuits_valid kernel =
   QCheck.Test.make ~name:"routing validates on random circuits" ~count:8
@@ -635,6 +664,8 @@ let router_suite kernel =
         (test_route_pinned_4gt10 ~domains:1 kernel);
       Alcotest.test_case "pinned 4gt10, 3 domains" `Quick
         (test_route_pinned_4gt10 ~domains:3 kernel);
+      Alcotest.test_case "failed-net accounting" `Quick
+        (test_failed_net_accounting kernel);
       QCheck_alcotest.to_alcotest (prop_route_random_circuits_valid kernel) ] )
 
 let suites =
