@@ -77,15 +77,21 @@ perf: build
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
 # (cold + warm + routing-config-only reruns inside bench --json) and check
-# that warm runs hit all four stages with bit-identical volumes, that a
-# routing-only change reuses exactly the first three stage artifacts, and
-# that the uncached, cold and warm layouts are all valid.
+# that warm runs hit the three cached stages (bridging, placement, routing)
+# with bit-identical volumes, that a routing-only change reuses exactly the
+# bridging and placement artifacts, that the uncached, cold and warm layouts
+# are all valid, and that no preprocess entry was written (preprocess is
+# recomputed, never cached).
 cache: build
 	rm -rf _build/tqec_gate_cache
 	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \
 	  TQEC_CACHE_DIR=_build/tqec_gate_cache \
 	  dune exec bench/main.exe -- --json > _build/bench_cache.json
 	dune exec bin/tqec_gate.exe -- cache _build/bench_cache.json
+	@if [ -e _build/tqec_gate_cache/preprocess ]; then \
+	  echo "make cache: _build/tqec_gate_cache/preprocess exists; preprocess must never be cached" >&2; \
+	  exit 1; \
+	fi
 
 clean:
 	dune clean

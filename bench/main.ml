@@ -549,8 +549,9 @@ let effort_name () =
 
    Schema v3 adds the stage-cache contract, exercised when TQEC_CACHE_DIR
    is set: each benchmark runs cold (populating the cache), warm (expected
-   to hit all four stages) and once more with only the routing config
-   changed (expected to reuse the first three stage artifacts). The new
+   to hit the three cached stages; preprocess is never cached) and once
+   more with only the routing config changed (expected to reuse the
+   bridging and placement artifacts). The new
    per-benchmark fields record both hit/miss counters and [volume_warm],
    which must equal [volume] — the bit-identity contract `tqec_gate cache`
    gates on. All cache fields are zero when TQEC_CACHE_DIR is unset.

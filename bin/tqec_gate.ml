@@ -196,16 +196,22 @@ let perf baseline_file current_file =
 (* ------------------------------------------------------------------ cache *)
 
 (* The stage-cache contract of a bench --json run made with TQEC_CACHE_DIR
-   set (schema v3):
+   set (schema v3). Flow.run caches three stages: bridging, placement and
+   routing. Preprocess is recomputed on every run and never stored, because
+   recomputing it is cheaper than reading its artifact back (DESIGN.md,
+   "The driver").
 
-     - cold run misses and populates all four stages;
-     - warm run hits all four stages and recomputes nothing;
+     - cold run misses and populates the three cached stages;
+     - warm run hits all three and recomputes nothing cached;
      - warm volume is bit-identical to the cold volume;
-     - a routing-config-only change reuses the first three stage artifacts
-       (3 hits) and recomputes exactly the routing stage (1 miss);
-     - the uncached, cold and warm layouts are all valid (schema v6). *)
+     - a routing-config-only change reuses the bridging and placement
+       artifacts (2 hits) and recomputes exactly the routing stage (1 miss);
+     - the uncached, cold and warm layouts are all valid (schema v6).
 
-let stages = 4
+   `make cache` also fails if the cache directory holds a preprocess/
+   entry after these runs. *)
+
+let stages = 3
 
 let check_benchmark ~file failed (name, b) =
   let before = !failed in

@@ -340,7 +340,15 @@ let run ?(options = default_options) ?trace ?pool:_ ?cache circuit =
     | Some parent -> Trace.span parent "flow"
     | None -> Trace.root "flow"
   in
-  let pre, t_preprocess = run_stage (module Preprocess) ~cache root circuit in
+  (* Preprocess is computed, never cached. It is a linear pass, and its
+     artifact is the largest in the store: reading it back costs more than
+     recomputing it. On the batch-warm ladder a warm job spent ~1.4 ms
+     reading, parsing and decoding it against ~0.34 ms to recompute; on the
+     Table-I rows parse + decode is 3-4x the recompute (4gt10 2.8 vs
+     0.69 ms, ham15_107 117 vs 35 ms). The downstream keys embed the
+     content digest of [modular], not this stage's key, so they are the
+     same whether [modular] was recomputed or decoded. *)
+  let pre, t_preprocess = run_stage (module Preprocess) ~cache:None root circuit in
   let br, t_bridging =
     run_stage (module Bridging) ~cache root
       { Bridging.bridging = options.bridging; modular = pre.Preprocess.modular }

@@ -42,7 +42,9 @@ val check_options : options -> (unit, string) result
     [region_margin] below 0. The front ends call it before any stage runs. *)
 
 (** Stage 1: gate decomposition, ICM conversion, canonical description,
-    modularization and Table-I statistics. *)
+    modularization and Table-I statistics. {!run} never caches it; its key
+    and codec serve callers that store the artifact themselves (the
+    benchmark's traced pass). *)
 module Preprocess : sig
   type input = Tqec_circuit.Circuit.t
 
@@ -160,11 +162,13 @@ val run :
     calling domain, so the result is the same for every pool size. The
     argument remains only for callers that still pass it.
 
-    [cache] consults the artifact store before each stage: on a hit the
-    stored artifact is decoded instead of recomputed (bit-identical by the
-    codec round-trip law — a warm run produces exactly the cold run's
-    volumes and routings), on a miss the stage runs and its artifact is
-    stored. A corrupt entry is evicted and recomputed. Per-stage
+    [cache] consults the artifact store before the bridging, placement and
+    routing stages: on a hit the stored artifact is decoded instead of
+    recomputed (bit-identical by the codec round-trip law — a warm run
+    produces exactly the cold run's volumes and routings), on a miss the
+    stage runs and its artifact is stored. A corrupt entry is evicted and
+    recomputed. Preprocess always runs and is never looked up or stored:
+    recomputing it is cheaper than reading its artifact back. Per-stage
     [cache_hit] / [cache_miss] / [cache_store] counters are recorded on the
     stage spans; see {!cache_stats}. *)
 
@@ -180,8 +184,9 @@ val stage_counter : t -> string -> string -> int
 (** [stage_counter t stage counter]; 0 when absent. *)
 
 val cache_stats : t -> int * int * int
-(** [(hits, misses, stores)] summed over the four stage spans. All zero when
-    the flow ran without a cache (or with a noop trace). *)
+(** [(hits, misses, stores)] summed over the stage spans; at most 3 each,
+    since preprocess is never cached. All zero when the flow ran without a
+    cache (or with a noop trace). *)
 
 val metrics_json : t -> Tqec_obs.Json.t
 (** Machine-readable metrics (the [--metrics-json] payload, schema

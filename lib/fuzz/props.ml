@@ -248,8 +248,8 @@ let cache_warm_identity ~max_qubits ~max_gates =
         && cold.Flow.dims = warm.Flow.dims
         && same_bytes Codecs.of_placement cold.Flow.placement warm.Flow.placement
         && same_bytes Codecs.of_routing cold.Flow.routing warm.Flow.routing
-        && Flow.cache_stats cold = (0, 4, 4)
-        && Flow.cache_stats warm = (4, 0, 0) )
+        && Flow.cache_stats cold = (0, 3, 3)
+        && Flow.cache_stats warm = (3, 0, 0) )
 
 (* --- restricted-region routing (PR7 speed work) --- *)
 

@@ -66,8 +66,8 @@ val artifact_roundtrip : max_qubits:int -> max_gates:int -> prop
 val cache_warm_identity : max_qubits:int -> max_gates:int -> prop
 (** [cache-warm-bit-identity]: a cold cached run followed by a warm run from
     the same store yields bit-identical placement and routing artifacts
-    (canonical-bytes equality), with counters (0 hits, 4 misses) then
-    (4 hits, 0 misses). *)
+    (canonical-bytes equality), with counters (0 hits, 3 misses) then
+    (3 hits, 0 misses): preprocess is never cached. *)
 
 val restricted_region : max_qubits:int -> max_gates:int -> prop
 (** [route-restricted-region]: the paper's SIII-D restricted per-net

@@ -1092,7 +1092,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
      keep these nets — below pin mouths (immovable) but above age — so the
      flood is paid for once. *)
   let lastrite_won : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let conflicted_nets ?record () =
+  let conflicted_nets record =
     let victims = Hashtbl.create 16 in
     (Hashtbl.iter
       (fun cell owners ->
@@ -1173,7 +1173,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
                 (fun id ->
                   if not (kept id) then begin
                     Hashtbl.replace victims id ();
-                    match record with None -> () | Some f -> f id cell
+                    record id cell
                   end)
                 interior
         end)
@@ -1327,7 +1327,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
         | None -> c
         | Some b -> Cuboid.union b c)
     in
-    let victims = conflicted_nets ~record () in
+    let victims = conflicted_nets record in
     List.iter
       (fun id -> uncommit st id ~requeue:(fun net -> ripped := net :: !ripped))
       victims;
@@ -1395,23 +1395,14 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
             if c <> 0 then c else Int.compare (net_len a) (net_len b))
         next
   done;
-  (* If the pass budget ran out mid-negotiation, strip any residual overlap
-     so the returned layout is always legal. *)
-  let rec strip () =
-    match conflicted_nets () with
-    | [] -> []
-    | victims ->
-        let dropped = ref [] in
-        List.iter
-          (fun id -> uncommit st id ~requeue:(fun net -> dropped := net :: !dropped))
-          victims;
-        !dropped @ strip ()
-  in
-  let stripped = strip () in
+  (* The committed layout is overlap-free here, even when the pass cap cut
+     the negotiation short: every pass ends by ripping each arbitration
+     victim, which leaves at most one interior owner per cell, and a rip-up
+     only removes owners. (With no pass run, nothing was committed.) *)
   let failed =
     List.sort_uniq
       (fun a b -> Int.compare a.Bridge.net_id b.Bridge.net_id)
-      (!pending @ !abandoned @ stripped)
+      (!pending @ !abandoned)
   in
   let routed =
     Hashtbl.fold (fun _ rn acc -> rn :: acc) st.committed []
@@ -1459,7 +1450,6 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     Trace.incr ~n:!total_ripped trace "nets_ripped";
     Trace.incr ~n:(List.length !abandoned) trace "nets_parked";
     Trace.incr ~n:(List.length !pending) trace "nets_pending";
-    Trace.incr ~n:(List.length stripped) trace "nets_stripped";
     Trace.incr ~n:(List.length routed) trace "nets_routed";
     Trace.incr ~n:(List.length failed) trace "nets_failed";
     Trace.incr ~n:!first_iter_count trace "routed_first_pass"

@@ -584,7 +584,7 @@ let test_route_pinned_4gt10 ~domains kernel () =
     (List.map (fun n -> n.Bridge.net_id) r.Router.failed);
   List.iter
     (fun name -> Alcotest.(check int) name 0 (Trace.counter trace name))
-    [ "nets_parked"; "nets_pending"; "nets_stripped" ];
+    [ "nets_parked"; "nets_pending" ];
   let oracle =
     Tqec_verify.Verify.(
       first_error
@@ -606,9 +606,8 @@ let test_route_pinned_4gt10 ~domains kernel () =
        (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
 
 (* Every failed net is counted under exactly one reason: parked by the
-   give-up rule, still pending when the pass cap hit, or stripped from a
-   residual overlap at the end. One pass leaves the ripped nets of the
-   pinned instance pending. *)
+   give-up rule, or still pending when the pass cap hit. One pass leaves the
+   ripped nets of the pinned instance pending. *)
 let test_failed_net_accounting kernel () =
   let _, _, _, nets, placement = Lazy.force pinned_4gt10 in
   let trace = Trace.root "routing" in
@@ -622,8 +621,8 @@ let test_failed_net_accounting kernel () =
   let failed = List.length r.Router.failed in
   Alcotest.(check bool) "some nets fail" true (failed > 0);
   Alcotest.(check int) "nets_failed" failed (count "nets_failed");
-  Alcotest.(check int) "parked + pending + stripped" failed
-    (count "nets_parked" + count "nets_pending" + count "nets_stripped")
+  Alcotest.(check int) "parked + pending" failed
+    (count "nets_parked" + count "nets_pending")
 
 let prop_route_random_circuits_valid kernel =
   QCheck.Test.make ~name:"routing validates on random circuits" ~count:8
