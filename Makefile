@@ -9,10 +9,9 @@ test:
 	dune runtest
 
 # Full gate, staged: build -> tests (both search kernels, the reference one
-# with its step-cost-field audit, run inside the tier-1 suite; plus a CLI smoke
-# run that must produce a parseable metrics file, and one with
-# TQEC_SA_CHECK=1, which audits the annealer's incremental cost against a
-# full recompute on every move) -> determinism/hot-path lint -> fixed-seed
+# with its step-cost-field audit, and the annealer's incremental-vs-full cost
+# audit, run inside the tier-1 suite; plus a CLI smoke run that must produce
+# a parseable metrics file) -> determinism/hot-path lint -> fixed-seed
 # differential fuzzing -> validity/perf/volume/expansion regression gate ->
 # stage-cache contract (cold/warm/reroute, valid layouts).
 check:
@@ -23,7 +22,6 @@ check:
 	dune exec bin/tqec_compress.exe -- --benchmark 4gt10-v1_81 \
 	  --trace --metrics-json _build/metrics_smoke.json
 	dune exec bin/tqec_gate.exe -- metrics _build/metrics_smoke.json
-	TQEC_SA_CHECK=1 dune exec bin/tqec_compress.exe -- -b 4gt10-v1_81
 	@echo "==== check [3/6] lint ============================================="
 	$(MAKE) lint
 	@echo "==== check [4/6] fuzz ============================================="
@@ -62,7 +60,8 @@ fuzz: build
 bench:
 	dune exec bench/main.exe
 
-# Perf regression gate: rerun the fast benchmark subset in --json mode and
+# Perf regression gate: rerun the fast benchmark subset in --json mode (one
+# compression per benchmark, the flow the JSON reports) and
 # fail if any layout (the baseline's included) leaves a net unrouted or is
 # rejected by Flow.validate or the Verify oracle, if any space-time volume
 # drifts from the committed BENCH_pr23.json, or if the run expands more A*
@@ -71,8 +70,8 @@ bench:
 # informationally).
 PERF_SUBSET = 4gt10-v1_81,4gt4-v0_73
 perf: build
-	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \
-	  dune exec bench/main.exe -- --json > _build/bench_perf.json
+	dune exec bench/main.exe -- --json --effort fast --only $(PERF_SUBSET) \
+	  > _build/bench_perf.json
 	dune exec bin/tqec_gate.exe -- perf BENCH_pr23.json _build/bench_perf.json
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
@@ -84,9 +83,8 @@ perf: build
 # recomputed, never cached).
 cache: build
 	rm -rf _build/tqec_gate_cache
-	TQEC_EFFORT=fast TQEC_BENCH_ONLY=$(PERF_SUBSET) \
-	  TQEC_CACHE_DIR=_build/tqec_gate_cache \
-	  dune exec bench/main.exe -- --json > _build/bench_cache.json
+	dune exec bench/main.exe -- --json --effort fast --only $(PERF_SUBSET) \
+	  --cache-dir _build/tqec_gate_cache > _build/bench_cache.json
 	dune exec bin/tqec_gate.exe -- cache _build/bench_cache.json
 	@if [ -e _build/tqec_gate_cache/preprocess ]; then \
 	  echo "make cache: _build/tqec_gate_cache/preprocess exists; preprocess must never be cached" >&2; \

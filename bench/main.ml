@@ -1,37 +1,47 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus Bechamel micro-benchmarks of the core kernels.
+   evaluation section, or with --json the per-benchmark baseline that
+   `make perf` and `make cache` gate (BENCH_*.json).
 
-   Environment knobs the harness reads (the library's TQEC_SA_CHECK audit
-   applies too, see place25d.mli):
-     TQEC_EFFORT=fast|normal|full   quality-vs-time budgets (effort.mli)
-     TQEC_BENCH_ONLY=name1,name2    restrict to a benchmark subset
-     TQEC_SKIP_BECHAMEL=1           skip the Bechamel micro-bench section
-     TQEC_CACHE_DIR=dir             --json: add cold/warm/reroute cache runs *)
+   Flags (an unknown value is rejected, exit 2):
+     --effort fast|normal|full   quality-vs-time budgets (effort.mli),
+                                 default normal
+     --only name1,name2          restrict to a benchmark subset
+     --json                      print the JSON baseline instead of tables
+     --cache-dir DIR             --json: add cold/warm/reroute cache runs *)
 
 module Flow = Tqec_core.Flow
 module Stats = Tqec_icm.Stats
 module Benchmarks = Tqec_circuit.Benchmarks
 module Table = Tqec_report.Table
 module Lin = Tqec_baseline.Lin
+module Effort = Tqec_report.Effort
 
 let seed = 42
 
-let selected_specs () =
-  match Sys.getenv_opt "TQEC_BENCH_ONLY" with
-  | None -> Benchmarks.all
-  | Some names ->
-      let wanted = String.split_on_char ',' names in
-      List.filter (fun s -> List.mem s.Benchmarks.name wanted) Benchmarks.all
+let efforts = [ ("fast", Effort.Fast); ("normal", Effort.Normal); ("full", Effort.Full) ]
 
-(* The flow-based tables (II-VI) run four full compressions per benchmark;
+(* Set once from the command line, before any table or run reads them. *)
+let effort = ref Effort.Normal
+let only = ref None
+let json = ref false
+let cache_dir = ref None
+
+let effort_name () = fst (List.find (fun (_, l) -> l = !effort) efforts)
+
+let selected_specs () =
+  match !only with
+  | None -> Benchmarks.all
+  | Some wanted -> List.filter (fun s -> List.mem s.Benchmarks.name wanted) Benchmarks.all
+
+(* The flow-based tables (II-VI) run three full compressions per benchmark;
    the statistics table (I) is cheap and always covers the whole suite. The
    effort level bounds which benchmarks get the full treatment so a normal
-   run finishes in minutes -- TQEC_EFFORT=full covers all eight. *)
+   run finishes in minutes -- --effort full covers all eight. *)
 let flow_gate_budget () =
-  match Tqec_report.Effort.level () with
-  | Tqec_report.Effort.Fast -> 400
-  | Tqec_report.Effort.Normal -> 1000
-  | Tqec_report.Effort.Full -> max_int
+  match !effort with
+  | Effort.Fast -> 400
+  | Effort.Normal -> 1000
+  | Effort.Full -> max_int
 
 let icm_gates spec = (55 * spec.Benchmarks.toffolis) + spec.Benchmarks.cnots
 
@@ -61,8 +71,11 @@ let preps = lazy (List.map prepare (selected_specs ()))
 
 let flow_preps = lazy (List.map prepare (flow_specs ()))
 
-let options_for prep =
-  Tqec_report.Effort.options_for ~gates:prep.stats.Stats.cnots ()
+let options_for prep = Effort.options_for ~level:!effort ~gates:prep.stats.Stats.cnots
+
+let compress ?cache prep what options =
+  Printf.eprintf "[bench] compressing %s (%s)...\n%!" prep.spec.Benchmarks.name what;
+  Flow.run ~options ?cache prep.circuit
 
 type flows = {
   ours : Flow.t;
@@ -77,15 +90,12 @@ let flows_of prep =
   | Some f -> f
   | None ->
       let options = options_for prep in
-      Printf.eprintf "[bench] compressing %s (ours)...\n%!" prep.spec.Benchmarks.name;
-      let ours = Flow.run ~options prep.circuit in
-      Printf.eprintf "[bench] compressing %s (w/o bridging)...\n%!"
-        prep.spec.Benchmarks.name;
-      let no_bridge = Flow.run ~options:{ options with Flow.bridging = false } prep.circuit in
-      Printf.eprintf "[bench] compressing %s (conference mode)...\n%!"
-        prep.spec.Benchmarks.name;
+      let ours = compress prep "ours" options in
+      let no_bridge =
+        compress prep "w/o bridging" { options with Flow.bridging = false }
+      in
       let conference =
-        Flow.run ~options:{ options with Flow.primal_groups = false } prep.circuit
+        compress prep "conference mode" { options with Flow.primal_groups = false }
       in
       let f = { ours; no_bridge; conference } in
       Hashtbl.replace flow_cache prep.spec.Benchmarks.name f;
@@ -431,130 +441,21 @@ let fig20 () =
       print_string (Tqec_report.Ascii_layout.render ~max_slices:2 f)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_section () =
-  section "bechamel" "micro-benchmarks of the core kernels";
-  if Sys.getenv_opt "TQEC_SKIP_BECHAMEL" <> None then
-    print_endline "(skipped: TQEC_SKIP_BECHAMEL set)"
-  else begin
-    let open Bechamel in
-    let prep = prepare (List.hd Benchmarks.all (* 4gt10-v1_81 *)) in
-    let bridge_test =
-      Test.make ~name:"bridge:4gt10"
-        (Staged.stage (fun () -> ignore (Tqec_bridge.Bridge.run prep.modular)))
-    in
-    let cluster = Tqec_place.Cluster.build prep.modular in
-    let dims =
-      Array.map
-        (fun c ->
-          let d, w, _ = c.Tqec_place.Cluster.cdims in
-          (d, w))
-        cluster.Tqec_place.Cluster.clusters
-    in
-    let pack_test =
-      Test.make ~name:"bstar-pack:252-blocks"
-        (Staged.stage (fun () ->
-             ignore (Tqec_place.Bstar.pack (Tqec_place.Bstar.create dims))))
-    in
-    let sa_nets = (Tqec_bridge.Bridge.run prep.modular).Tqec_bridge.Bridge.nets in
-    let place_cfg =
-      { Tqec_place.Place25d.default_config with
-        Tqec_place.Place25d.tiers = Some 2;
-        sa = { Tqec_place.Sa.default_params with Tqec_place.Sa.iterations = 1500 } }
-    in
-    let sa_eval = Tqec_place.Place25d.sa_eval_bench place_cfg cluster sa_nets in
-    let sa_eval_test =
-      Test.make ~name:"sa-eval:4gt10-move" (Staged.stage (fun () -> sa_eval ()))
-    in
-    let placement = Tqec_place.Place25d.place place_cfg cluster sa_nets in
-    let astar_search, _ =
-      Tqec_route.Router.astar_bench Tqec_route.Router.default_config placement sa_nets
-    in
-    let astar_test =
-      Test.make ~name:"astar:4gt10-longest-net"
-        (Staged.stage (fun () -> astar_search ()))
-    in
-    let astar_ref_search, _ =
-      Tqec_route.Router.astar_bench ~kernel:Tqec_route.Router.Reference
-        Tqec_route.Router.default_config placement sa_nets
-    in
-    let astar_ref_test =
-      Test.make ~name:"astar-ref:4gt10-longest-net"
-        (Staged.stage (fun () -> astar_ref_search ()))
-    in
-    let rtree_test =
-      Test.make ~name:"rtree:insert+query-500"
-        (Staged.stage (fun () ->
-             let t = Tqec_rtree.Rtree.create () in
-             for i = 0 to 499 do
-               let x = (i * 7) mod 50 and y = (i * 13) mod 50 and z = i mod 10 in
-               Tqec_rtree.Rtree.insert t
-                 (Tqec_geom.Cuboid.of_origin_size (Tqec_geom.Point3.make x y z) ~w:2
-                    ~h:2 ~d:2)
-                 i
-             done;
-             ignore
-               (Tqec_rtree.Rtree.search t
-                  (Tqec_geom.Cuboid.of_origin_size (Tqec_geom.Point3.make 10 10 2)
-                     ~w:8 ~h:4 ~d:8))))
-    in
-    let sim_test =
-      Test.make ~name:"sim:toffoli-equivalence"
-        (Staged.stage (fun () ->
-             let tof =
-               Tqec_circuit.Circuit.make ~name:"t" ~num_qubits:3
-                 [ Tqec_circuit.Gate.Toffoli { c1 = 0; c2 = 1; target = 2 } ]
-             in
-             ignore
-               (Tqec_circuit.Semantics.equivalent tof
-                  (Tqec_circuit.Decompose.circuit tof))))
-    in
-    let benchmark test =
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-      Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-    in
-    let analyze results =
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      Analyze.all ols Toolkit.Instance.monotonic_clock results
-    in
-    List.iter
-      (fun test ->
-        let results = analyze (benchmark test) in
-        Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.iter (fun (name, result) ->
-               match Analyze.OLS.estimates result with
-               | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-               | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name))
-      [ bridge_test; pack_test; sa_eval_test; astar_test; astar_ref_test; rtree_test; sim_test ]
-  end
-
-(* ------------------------------------------------------------------ *)
 (* --json: machine-readable per-benchmark baseline (BENCH_*.json)       *)
 (* ------------------------------------------------------------------ *)
-
-let effort_name () =
-  match Tqec_report.Effort.level () with
-  | Tqec_report.Effort.Fast -> "fast"
-  | Tqec_report.Effort.Normal -> "normal"
-  | Tqec_report.Effort.Full -> "full"
 
 (* Volumes are deterministic (fixed seed) and act as the behavior-
    preservation contract checked by `tqec_gate perf`; rates and times vary
    with the machine and are informational.
 
-   Schema v3 adds the stage-cache contract, exercised when TQEC_CACHE_DIR
-   is set: each benchmark runs cold (populating the cache), warm (expected
+   Schema v3 adds the stage-cache contract, exercised when --cache-dir
+   is given: each benchmark runs cold (populating the cache), warm (expected
    to hit the three cached stages; preprocess is never cached) and once
    more with only the routing config changed (expected to reuse the
    bridging and placement artifacts). The new
    per-benchmark fields record both hit/miss counters and [volume_warm],
    which must equal [volume] — the bit-identity contract `tqec_gate cache`
-   gates on. All cache fields are zero when TQEC_CACHE_DIR is unset.
+   gates on. All cache fields are zero without --cache-dir.
 
    Schema v6 adds validity, gated by `tqec_gate perf` and `tqec_gate
    cache`: per benchmark [unrouted] and the verdicts of Flow.validate
@@ -596,15 +497,10 @@ let no_cache_runs =
 
 let cache_runs_of store prep =
   let options = options_for prep in
-  Printf.eprintf "[bench] compressing %s (cold, caching)...\n%!"
-    prep.spec.Benchmarks.name;
-  let cold = Flow.run ~options ~cache:store prep.circuit in
+  let cold = compress ~cache:store prep "cold, caching" options in
   let _, cold_misses, _ = Flow.cache_stats cold in
-  Printf.eprintf "[bench] compressing %s (warm)...\n%!" prep.spec.Benchmarks.name;
-  let warm = Flow.run ~options ~cache:store prep.circuit in
+  let warm = compress ~cache:store prep "warm" options in
   let warm_hits, warm_misses, _ = Flow.cache_stats warm in
-  Printf.eprintf "[bench] compressing %s (reroute only)...\n%!"
-    prep.spec.Benchmarks.name;
   let reroute_options =
     { options with
       Flow.route =
@@ -612,7 +508,7 @@ let cache_runs_of store prep =
           Tqec_route.Router.region_margin =
             options.Flow.route.Tqec_route.Router.region_margin + 1 } }
   in
-  let reroute = Flow.run ~options:reroute_options ~cache:store prep.circuit in
+  let reroute = compress ~cache:store prep "reroute only" reroute_options in
   let reroute_hits, reroute_misses, _ = Flow.cache_stats reroute in
   { cold_misses;
     warm_hits;
@@ -627,14 +523,13 @@ let json_mode () =
   let module Json = Tqec_obs.Json in
   let per_sec n t = if t > 0.0 then float_of_int n /. t else 0.0 in
   let cache_store =
-    Option.map
-      (fun dir -> Tqec_artifact.Store.create ~dir ())
-      (Sys.getenv_opt "TQEC_CACHE_DIR")
+    Option.map (fun dir -> Tqec_artifact.Store.create ~dir ()) !cache_dir
   in
   let benches =
     List.map
       (fun prep ->
-        let f = (flows_of prep).ours in
+        (* Only the flow this mode reports: the ablation flows feed tables. *)
+        let f = compress prep "ours" (options_for prep) in
         let b = f.Flow.breakdown in
         let sa_moves = Flow.stage_counter f "placement" "sa_moves" in
         let expansions = Flow.stage_counter f "routing" "astar_expansions" in
@@ -679,14 +574,38 @@ let json_mode () =
             ("cache", Json.Bool (Option.is_some cache_store));
             ("benchmarks", Json.List benches) ]))
 
+let parse_only names =
+  let wanted = String.split_on_char ',' names in
+  List.iter
+    (fun name ->
+      if Option.is_none (Benchmarks.find name) then
+        raise
+          (Arg.Bad
+             (Printf.sprintf "--only: unknown benchmark %S (known: %s)" name
+                (String.concat ", "
+                   (List.map (fun s -> s.Benchmarks.name) Benchmarks.all)))))
+    wanted;
+  only := Some wanted
+
 let () =
-  if Array.exists (( = ) "--json") Sys.argv then json_mode ()
+  Arg.parse
+    (Arg.align
+    [ ("--effort",
+       Arg.Symbol (List.map fst efforts, fun name -> effort := List.assoc name efforts),
+       " quality-vs-time budgets (default normal)");
+      ("--only", Arg.String parse_only, "NAMES comma-separated benchmark subset");
+      ("--json", Arg.Set json, " print the per-benchmark JSON baseline");
+      ("--cache-dir", Arg.String (fun dir -> cache_dir := Some dir),
+       "DIR with --json, add cold/warm/reroute runs over an on-disk cache") ])
+    (fun arg -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" arg)))
+    "main.exe [--effort LEVEL] [--only NAMES] [--json [--cache-dir DIR]]";
+  if !json then json_mode ()
   else begin
     Printf.printf "tqec bench harness (effort=%s, seed=%d)\n" (effort_name ()) seed;
     table1 ();
     Printf.printf
       "\n(flow-based tables below cover the %d benchmark(s) within the %s effort\n\
-      \ budget; set TQEC_EFFORT=full to compress all eight)\n"
+      \ budget; pass --effort full to compress all eight)\n"
       (List.length (flow_specs ()))
       (effort_name ());
     table2_and_4 ();
@@ -699,6 +618,5 @@ let () =
     fig8 ();
     fig9 ();
     fig20 ();
-    bechamel_section ();
     print_endline "\nbench: done"
   end

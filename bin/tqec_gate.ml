@@ -7,7 +7,7 @@
          (BENCH_pr23.json): every layout valid, volumes exact, expansions /
          rip-ups / passes bounded;
      tqec_gate cache FILE
-         a `bench/main.exe --json` run made with TQEC_CACHE_DIR set keeps
+         a `bench/main.exe --json --cache-dir DIR` run keeps
          the stage-cache contract, with valid cold and warm layouts.
 
    Every gate prints one summary line on stdout and exits 0 when it holds;
@@ -195,8 +195,8 @@ let perf baseline_file current_file =
 
 (* ------------------------------------------------------------------ cache *)
 
-(* The stage-cache contract of a bench --json run made with TQEC_CACHE_DIR
-   set (schema v3). Flow.run caches three stages: bridging, placement and
+(* The stage-cache contract of a bench --json run made with --cache-dir
+   (schema v3). Flow.run caches three stages: bridging, placement and
    routing. Preprocess is recomputed on every run and never stored, because
    recomputing it is cheaper than reading its artifact back (DESIGN.md,
    "The driver").
@@ -242,7 +242,7 @@ let cache file =
   (match Json.member "cache" json with
    | Some (Json.Bool true) -> ()
    | Some _ | None ->
-       fail "%s was not produced with TQEC_CACHE_DIR set (cache != true)" file);
+       fail "%s was not produced with --cache-dir (cache != true)" file);
   let benches = benchmarks file json in
   if benches = [] then fail "%s has an empty benchmark list" file;
   let failed = ref 0 in

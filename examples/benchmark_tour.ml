@@ -58,7 +58,10 @@ let () =
     l1.Tqec_baseline.Lin.total_volume l2.Tqec_baseline.Lin.total_volume;
 
   (* Full flow. *)
-  let options = Tqec_report.Effort.options_for ~gates:stats.Tqec_icm.Stats.cnots () in
+  let options =
+    Tqec_report.Effort.options_for ~level:Tqec_report.Effort.Normal
+      ~gates:stats.Tqec_icm.Stats.cnots
+  in
   let flow = Tqec_core.Flow.run ~options circuit in
   let w, h, d = flow.Tqec_core.Flow.dims in
   Printf.printf "[ours] W=%d H=%d D=%d volume %d (paper: 45x24x23 = 24,840)\n" w h d

@@ -47,11 +47,12 @@ let scale_options ?sa_iterations ?route_iterations options =
   in
   { options with place; route }
 
-let check_options { place; route; _ } =
+let check_options { place; route; max_group_size; _ } =
   let bad field bound v =
     Error (Printf.sprintf "%s must be >= %d (got %d)" field bound v)
   in
   match (place.Place25d.tiers, route) with
+  | _ when max_group_size < 1 -> bad "max_group_size" 1 max_group_size
   | Some t, _ when t < 1 -> bad "tiers" 1 t
   | _, { Router.max_iterations = n; _ } when n < 1 -> bad "route_iterations" 1 n
   | _, { Router.region_margin = m; _ } when m < 0 -> bad "region_margin" 0 m

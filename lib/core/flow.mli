@@ -37,9 +37,9 @@ val scale_options : ?sa_iterations:int -> ?route_iterations:int -> options -> op
 (** Convenience for per-benchmark effort budgets. *)
 
 val check_options : options -> (unit, string) result
-(** [Error] naming the first out-of-range setting: [tiers] or
-    [route_iterations] (the router's [max_iterations]) below 1, or
-    [region_margin] below 0. The front ends call it before any stage runs. *)
+(** [Error] naming the first out-of-range setting: [max_group_size],
+    [tiers] or [route_iterations] (the router's [max_iterations]) below 1,
+    or [region_margin] below 0. The front ends call it before any stage runs. *)
 
 (** Stage 1: gate decomposition, ICM conversion, canonical description,
     modularization and Table-I statistics. {!run} never caches it; its key

@@ -65,7 +65,9 @@ let rules =
       Syntactic,
       "ambient nondeterminism (Random.*, Sys.time, Unix.gettimeofday, \
        Unix.time) outside lib/prelude: thread an Rng.t or use \
-       Stopwatch.now_s" );
+       Stopwatch.now_s; environment reads (Sys.getenv, Sys.getenv_opt, \
+       Unix.getenv, Unix.environment) outside bin/ and lib/prelude: take \
+       the setting as an argument or a command-line flag" );
     ( rule_float_eq,
       Syntactic,
       "equality against a float literal is representation-fragile; compare \
@@ -428,6 +430,8 @@ let fs_write_fns =
     "Sys.rename"; "Sys.remove"; "Sys.mkdir"; "Sys.rmdir";
     "Unix.mkdir"; "Unix.rename"; "Unix.unlink"; "Unix.rmdir"; "Unix.openfile" ]
 
+let env_read_fns = [ "Sys.getenv"; "Sys.getenv_opt"; "Unix.getenv"; "Unix.environment" ]
+
 let check_ident st (loc : Location.t) name =
   if List.exists (String.equal name) fs_write_fns then begin
     if not (in_bin st.st_file || in_bench st.st_file || in_store st.st_file)
@@ -461,6 +465,11 @@ let check_ident st (loc : Location.t) name =
   then begin
     if not (in_prelude st.st_file) then
       emit st rule_ambient loc (name ^ " outside lib/prelude")
+  end
+  else if List.exists (String.equal name) env_read_fns then begin
+    if not (in_prelude st.st_file || in_bin st.st_file) then
+      emit st rule_ambient loc
+        (name ^ " outside bin/ and lib/prelude; take the setting as an argument or a flag")
   end
   else if
     String.equal name "Domain.spawn"

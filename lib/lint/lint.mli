@@ -65,6 +65,11 @@ val hot_attr_name : string
 (** ["tqec.hot"] — marks a function as a hot kernel for the typed
     [hot-path-alloc] rule (consumed by {!Lint_graph}/{!Lint_hot}). *)
 
+val env_read_fns : string list
+(** The environment readers: the syntactic [ambient-effect] rule flags them
+    outside bin/ and lib/prelude/, and the typed [cache-ambient-read] rule
+    treats them as ambient facts (consumed by {!Lint_graph}). *)
+
 val schema_version : int
 (** Version of the {!to_json} shape; bumped on any incompatible change. *)
 

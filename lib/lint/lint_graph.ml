@@ -117,7 +117,7 @@ let pool_entries =
   [ "Pool.parallel_init"; "Pool.parallel_map"; "Pool.parallel_iteri";
     "Taskpool.run" ]
 
-let env_fns = [ "Sys.getenv"; "Sys.getenv_opt"; "Unix.getenv"; "Unix.environment" ]
+let env_fns = Lint.env_read_fns
 
 let file_fns =
   [ "open_in"; "open_in_bin"; "open_in_gen";

@@ -61,7 +61,7 @@ val pack : ?spacing:int -> t -> packing
 val repack : ?spacing:int -> t -> packing
 (** Like {!pack} but always re-evaluates from scratch, bypassing (and not
     refreshing) the cache. Reference implementation for the cache-coherence
-    property tests and the [TQEC_SA_CHECK] debug assertion. Only the
+    property tests and [Place25d.check_incremental_cost]. Only the
     returned [xs]/[ys] are allocated: the contour and DFS stack are scratch
     kept inside the tree. *)
 

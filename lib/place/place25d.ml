@@ -148,8 +148,8 @@ let wirelength_of cl cluster_pos nets =
    diffs the positions of the clusters that can have moved (those on
    touched tiers and those whose slot changed) and re-measures the nets
    incident to clusters that did move (via [Cluster.net_index]). The full
-   O(all tiers + all nets) evaluation survives as [full_cost], wired to
-   [Sa.run]'s [check] hook under TQEC_SA_CHECK.                           *)
+   O(all tiers + all nets) evaluation survives as [full_cost], the
+   reference [check_incremental_cost] audits the incremental one against. *)
 (* ------------------------------------------------------------------ *)
 
 type journal = {
@@ -574,8 +574,8 @@ let default_tier_count cl =
   max 1 (min n (max guess 1))
 
 (* The annealer bundle: everything [Sa.run] needs over [eval] solutions.
-   Shared between [place] and the micro-benchmark hook so both measure the
-   same inner loop. *)
+   Shared between [place], [sa_eval_bench] and [check_incremental_cost] so
+   all three drive the same inner loop. *)
 type annealer = {
   a_rng : Rng.t;
   a_init : eval;
@@ -584,17 +584,6 @@ type annealer = {
   a_perturb : Rng.t -> eval -> unit;
   a_copy : eval -> eval;
 }
-
-let[@tqec.allow
-     "cache-ambient-read: SA self-check cadence only tunes how often the \
-      incremental cost is audited against a full recompute; placements are \
-      identical with the audit on or off"] sa_check_every () =
-  match Sys.getenv_opt "TQEC_SA_CHECK" with
-  | None -> None
-  | Some v ->
-      (match int_of_string_opt v with
-       | Some n when n >= 1 -> Some n
-       | Some _ | None -> Some 64)
 
 let make_annealer ?(trace = Trace.noop) config cl nets =
   Cluster.equalize_tsl cl;
@@ -655,13 +644,8 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
    domain (see place25d.mli). *)
 let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
   let a = make_annealer ~trace config cl nets in
-  let check, check_every =
-    match sa_check_every () with
-    | Some n -> (Some a.a_full_cost, n)
-    | None -> (None, 1)
-  in
   let stats =
-    Sa.run ~trace ?check ~check_every ~rng:a.a_rng ~init:a.a_init ~copy:a.a_copy
+    Sa.run ~trace ~rng:a.a_rng ~init:a.a_init ~copy:a.a_copy
       ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
   in
   let final = stats.Sa.best.state in
@@ -693,8 +677,8 @@ let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
     sa_improved = stats.Sa.improved }
 
 (* One SA move evaluation — perturb in place, incremental cost, undo —
-   exactly as the annealer's inner loop performs a rejected move. For
-   Bechamel and BENCH_*.json. *)
+   exactly as the annealer's inner loop performs a rejected move. Timed per
+   call by the repository benchmark (place.eval_ns). *)
 let sa_eval_bench config cl nets =
   let a = make_annealer config cl nets in
   fun () ->
@@ -720,8 +704,7 @@ let same_eval a b =
   && a.net_len = b.net_len
   && a.wirelength = b.wirelength
 
-(* Random-walk differential check of the incremental evaluation, independent
-   of the TQEC_SA_CHECK env hook so property tests can drive it directly.
+(* Random-walk differential check of the incremental evaluation.
    A seeded share of the moves (about a third) is undone, as a rejected
    move would be, and must restore the snapshot taken before the move. *)
 let check_incremental_cost ?(iterations = 200) config cl nets =

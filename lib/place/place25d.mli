@@ -57,8 +57,8 @@ val sa_eval_bench :
 (** [sa_eval_bench config cl nets] builds the annealer once and returns a
     thunk performing exactly one rejected SA move per call: the in-place
     perturbation, the incremental cost and the undo that reverts it, so
-    every call starts from the initial solution. This is the unit Bechamel
-    and the [sa_moves_per_sec] baseline measure. *)
+    every call starts from the initial solution. This is the unit the
+    repository benchmark times as [place.eval_ns]. *)
 
 val check_incremental_cost :
   ?iterations:int ->
@@ -75,10 +75,8 @@ val check_incremental_cost :
     shapes, packings (and the trees' cached packings), slot maps, cluster
     positions, net lengths and wirelength. [Error] pinpoints the first
     divergence beyond 1e-9 relative, or the first undo that did not
-    restore the snapshot.
-    The same comparison runs inside {!place} every N moves when the
-    [TQEC_SA_CHECK] environment variable is set (its value is N when it
-    parses as a positive integer, else 64). *)
+    restore the snapshot. The tier-1 suite runs it on [4gt10-v1_81] and the
+    fuzzer on every generated circuit. *)
 
 val pin_position : placement -> int -> Tqec_geom.Point3.t
 (** Absolute position of a pin after placement. *)

@@ -17,26 +17,7 @@ type 'a stats = {
   improved : int;
 }
 
-let check_tolerance = 1e-9
-
-let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~blit
-    ~cost ~perturb ~undo params =
-  let check_every = max 1 check_every in
-  let verify i candidate c =
-    match check with
-    | Some full when i mod check_every = 0 ->
-        let reference = full candidate in
-        if
-          Float.abs (reference -. c)
-          > check_tolerance *. Float.max 1.0 (Float.abs reference)
-        then
-          failwith
-            (Printf.sprintf
-               "Sa.run: incremental cost %.17g diverged from full recomputation \
-                %.17g at move %d"
-               c reference i)
-    | Some _ | None -> ()
-  in
+let run ?(trace = Trace.noop) ~rng ~init ~copy ~blit ~cost ~perturb ~undo params =
   let current = init in
   let current_cost = ref (cost current) in
   let best = copy current in
@@ -49,7 +30,6 @@ let run ?(trace = Trace.noop) ?check ?(check_every = 64) ~rng ~init ~copy ~blit
     let temp = params.start_temp *. (ratio ** (float_of_int i /. float_of_int n)) in
     perturb rng current;
     let c = cost current in
-    verify i current c;
     let delta = c -. !current_cost in
     let accept =
       if delta <= 0.0 then true

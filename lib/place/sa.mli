@@ -23,8 +23,6 @@ type 'a stats = {
 
 val run :
   ?trace:Tqec_obs.Trace.span ->
-  ?check:('a -> float) ->
-  ?check_every:int ->
   rng:Tqec_prelude.Rng.t ->
   init:'a ->
   copy:('a -> 'a) ->
@@ -44,10 +42,4 @@ val run :
     Deterministic given the RNG: per move, the RNG is drawn by [perturb]
     and then at most once by the acceptance test. [trace] (default
     {!Tqec_obs.Trace.noop}) receives move-acceptance counters without
-    influencing the anneal.
-
-    [check] is a debug hook for incrementally maintained cost functions: an
-    independent from-scratch re-evaluation run on every [check_every]-th
-    (default 64) candidate. If it disagrees with [cost] by more than 1e-9
-    (relative) the anneal aborts with [Failure], pinpointing a stale
-    incremental update instead of silently degrading solutions. *)
+    influencing the anneal. *)

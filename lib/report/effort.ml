@@ -1,14 +1,8 @@
 type level = Fast | Normal | Full
 
-let level () =
-  match Sys.getenv_opt "TQEC_EFFORT" with
-  | Some "fast" -> Fast
-  | Some "full" -> Full
-  | Some "normal" | Some _ | None -> Normal
-
-let options_for ?level:(lvl = level ()) ~gates () =
+let options_for ~level ~gates =
   let sa_iterations, route_iterations =
-    match lvl with
+    match level with
     | Fast -> (1500, 30)
     | Normal ->
         if gates <= 400 then (30000, 30)

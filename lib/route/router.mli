@@ -100,7 +100,7 @@ val astar_bench :
 (** [astar_bench config placement nets] builds the routing grid once and
     returns [(search, expansions)]: [search ()] runs one A* search for the
     longest net over an empty occupancy grid (identical work every call —
-    the unit Bechamel and the [astar_expansions_per_sec] baseline measure);
+    the unit the repository benchmark times as [route.search_ns]);
     [expansions ()] reads the cumulative node-expansion counter. *)
 
 val routed_segments : result -> (int * Tqec_geom.Point3.t list) list

@@ -280,6 +280,8 @@ let test_check_options () =
     Alcotest.(check (result unit string)) what expected (Flow.check_options options)
   in
   check "defaults" (Ok ()) d;
+  check "max_group_size" (Error "max_group_size must be >= 1 (got 0)")
+    { d with Flow.max_group_size = 0 };
   check "tiers" (Error "tiers must be >= 1 (got -3)")
     { d with Flow.place = { d.Flow.place with Tqec_place.Place25d.tiers = Some (-3) } };
   check "route_iterations" (Error "route_iterations must be >= 1 (got 0)")

@@ -81,7 +81,12 @@ let test_ambient_effect () =
     "let f () = Sys.time ()";
   Alcotest.(check (list string))
     "waived under lib/prelude" []
-    (rules_of (lint ~file:"lib/prelude/clock.ml" "let f () = Unix.gettimeofday ()"))
+    (rules_of (lint ~file:"lib/prelude/clock.ml" "let f () = Unix.gettimeofday ()"));
+  check_rules "environment read in a library" [ "ambient-effect" ]
+    "let budget () = Sys.getenv_opt \"BUDGET\"";
+  Alcotest.(check (list string))
+    "environment read allowed under bin/" []
+    (rules_of (lint ~file:"bin/main.ml" "let budget () = Sys.getenv_opt \"BUDGET\""))
 
 let test_exit_scope () =
   check_rules "exit in a library" [ "exit" ] "let f () = exit 1";

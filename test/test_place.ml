@@ -315,6 +315,28 @@ let test_place_pinned_4gt10 () =
       (20000, 62016, 15252, 16196, 7267,
        "32c7f3c82b1c83fa5fc3e8f3738c86ff8d6a645807e7a80aec7877d773cd1607") ]
 
+(* The annealer's incremental cost (touched-tier repack, net-length deltas)
+   against a from-scratch recompute after every move of a 2000-move random
+   walk with undos, on the bridged nets of a Table-I row at the default
+   placement config. *)
+let test_place_incremental_cost_4gt10 () =
+  let module Flow = Tqec_core.Flow in
+  let noop = Tqec_obs.Trace.noop in
+  let circuit =
+    Benchmarks.generate ~seed:42 (Option.get (Benchmarks.find "4gt10-v1_81"))
+  in
+  let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
+  let nets =
+    (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
+      .Flow.Bridging.nets
+  in
+  match
+    Place25d.check_incremental_cost ~iterations:2000 Place25d.default_config
+      (Cluster.build modular) nets
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let prop_place_valid_on_random_circuits =
   QCheck.Test.make ~name:"placement invariants on random circuits" ~count:10
     QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (int_bound 4))
@@ -363,4 +385,6 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_place_deterministic;
         Alcotest.test_case "single cluster" `Quick test_place_single_cluster;
         Alcotest.test_case "pinned 4gt10 instance" `Quick test_place_pinned_4gt10;
+        Alcotest.test_case "incremental cost on 4gt10" `Quick
+          test_place_incremental_cost_4gt10;
         QCheck_alcotest.to_alcotest prop_place_valid_on_random_circuits ] ) ]

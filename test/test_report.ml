@@ -31,7 +31,7 @@ let test_fmt_ratio_time () =
   Alcotest.(check string) "time" "2.3" (Table.fmt_time 2.345)
 
 let test_effort_budgets_monotone () =
-  let opts g lvl = Effort.options_for ~level:lvl ~gates:g () in
+  let opts g lvl = Effort.options_for ~level:lvl ~gates:g in
   let sa o = o.Flow.place.Tqec_place.Place25d.sa.Tqec_place.Sa.iterations in
   Alcotest.(check bool) "full >= normal" true
     (sa (opts 200 Effort.Full) >= sa (opts 200 Effort.Normal));
