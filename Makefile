@@ -75,7 +75,8 @@ perf: build
 	dune exec bin/tqec_gate.exe -- perf BENCH_pr23.json _build/bench_perf.json
 
 # Stage-cache contract gate: run the perf subset with a fresh on-disk cache
-# (cold + warm + routing-config-only reruns inside bench --json) and check
+# (cold + warm + routing-config-only reruns inside bench --json, each on its
+# own store over the directory, so warm hits are disk reads) and check
 # that warm runs hit the three cached stages (bridging, placement, routing)
 # with bit-identical volumes, that a routing-only change reuses exactly the
 # bridging and placement artifacts, that the uncached, cold and warm layouts

@@ -7,7 +7,8 @@
                                  default normal
      --only name1,name2          restrict to a benchmark subset
      --json                      print the JSON baseline instead of tables
-     --cache-dir DIR             --json: add cold/warm/reroute cache runs *)
+     --cache-dir DIR             --json: add cold/warm/reroute cache runs
+                                 (rejected without --json) *)
 
 module Flow = Tqec_core.Flow
 module Stats = Tqec_icm.Stats
@@ -495,11 +496,18 @@ let no_cache_runs =
   { cold_misses = 0; warm_hits = 0; warm_misses = 0; volume_warm = 0;
     t_warm_total = 0.0; reroute_hits = 0; reroute_misses = 0; validity = [] }
 
-let cache_runs_of store prep =
+(* Each run opens its own store on [dir], as a separate
+   [tqec_compress --cache-dir] process would, so the warm and reroute runs
+   hit by reading, parsing and decoding the entries on disk under keys
+   rebuilt from a recomputed [modular], never from the cold run's memory. *)
+let cache_runs_of dir prep =
   let options = options_for prep in
-  let cold = compress ~cache:store prep "cold, caching" options in
+  let run what options =
+    compress ~cache:(Tqec_artifact.Store.create ~dir ()) prep what options
+  in
+  let cold = run "cold, caching" options in
   let _, cold_misses, _ = Flow.cache_stats cold in
-  let warm = compress ~cache:store prep "warm" options in
+  let warm = run "warm" options in
   let warm_hits, warm_misses, _ = Flow.cache_stats warm in
   let reroute_options =
     { options with
@@ -508,7 +516,7 @@ let cache_runs_of store prep =
           Tqec_route.Router.region_margin =
             options.Flow.route.Tqec_route.Router.region_margin + 1 } }
   in
-  let reroute = compress ~cache:store prep "reroute only" reroute_options in
+  let reroute = run "reroute only" reroute_options in
   let reroute_hits, reroute_misses, _ = Flow.cache_stats reroute in
   { cold_misses;
     warm_hits;
@@ -522,9 +530,6 @@ let cache_runs_of store prep =
 let json_mode () =
   let module Json = Tqec_obs.Json in
   let per_sec n t = if t > 0.0 then float_of_int n /. t else 0.0 in
-  let cache_store =
-    Option.map (fun dir -> Tqec_artifact.Store.create ~dir ()) !cache_dir
-  in
   let benches =
     List.map
       (fun prep ->
@@ -534,8 +539,8 @@ let json_mode () =
         let sa_moves = Flow.stage_counter f "placement" "sa_moves" in
         let expansions = Flow.stage_counter f "routing" "astar_expansions" in
         let c =
-          match cache_store with
-          | Some store -> cache_runs_of store prep
+          match !cache_dir with
+          | Some dir -> cache_runs_of dir prep
           | None -> no_cache_runs
         in
         Json.Obj
@@ -571,7 +576,7 @@ let json_mode () =
           [ ("schema_version", Json.Int 7);
             ("effort", Json.String (effort_name ()));
             ("seed", Json.Int seed);
-            ("cache", Json.Bool (Option.is_some cache_store));
+            ("cache", Json.Bool (Option.is_some !cache_dir));
             ("benchmarks", Json.List benches) ]))
 
 let parse_only names =
@@ -587,6 +592,14 @@ let parse_only names =
     wanted;
   only := Some wanted
 
+(* Only --json runs cached flows; the tables would silently ignore the
+   directory. Checked against the whole command line, so the two flags may
+   come in either order, and rejected through Arg.parse (exit 2). *)
+let set_cache_dir dir =
+  if not (Array.exists (String.equal "--json") Sys.argv) then
+    raise (Arg.Bad "--cache-dir needs --json: only the JSON baseline runs cached flows");
+  cache_dir := Some dir
+
 let () =
   Arg.parse
     (Arg.align
@@ -595,7 +608,7 @@ let () =
        " quality-vs-time budgets (default normal)");
       ("--only", Arg.String parse_only, "NAMES comma-separated benchmark subset");
       ("--json", Arg.Set json, " print the per-benchmark JSON baseline");
-      ("--cache-dir", Arg.String (fun dir -> cache_dir := Some dir),
+      ("--cache-dir", Arg.String set_cache_dir,
        "DIR with --json, add cold/warm/reroute runs over an on-disk cache") ])
     (fun arg -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" arg)))
     "main.exe [--effort LEVEL] [--only NAMES] [--json [--cache-dir DIR]]";

@@ -68,14 +68,14 @@ let check_options { place; route; max_group_size; _ } =
 
 let canon json = Json.to_string json
 
-(* A large upstream artifact enters a downstream key as the SHA-256 of its
-   canonical JSON, not as the JSON itself, and each domain remembers the
-   last value it digested per kind. Within one job the same physical
-   [modular] and [nets] values reach the bridging, placement and routing
-   keys, so each is rendered and hashed once per job instead of once per
-   key. The memo is compared by [==] but the digest is of content, so a
-   decoded copy with equal content keys equally; holding the value keeps
-   its address from being reused by another. *)
+(* A large upstream artifact enters a downstream key as a SHA-256 digest,
+   not as its JSON, and each domain remembers the last value it digested
+   per kind. Within one job the same physical [modular] and [nets] values
+   reach the bridging, placement and routing keys, so each is rendered and
+   hashed once per job instead of once per key. The memo is compared by
+   [==] but the digest is of content, so a decoded copy with equal content
+   keys equally; holding the value keeps its address from being reused by
+   another. *)
 let digest_memo encode =
   let slot = Domain.DLS.new_key (fun () -> None) in
   fun v ->
@@ -85,12 +85,6 @@ let digest_memo encode =
         let digest = Tqec_prelude.Hash.sha256_hex (canon (encode v)) in
         Domain.DLS.set slot (Some (v, digest));
         digest
-
-let modular_digest =
-  digest_memo (fun (modular : Modular.t) ->
-      Json.Obj
-        [ ("icm", Codecs.of_icm modular.Modular.icm);
-          ("modular", Codecs.of_modular modular) ])
 
 let nets_digest = digest_memo Codecs.of_nets
 
@@ -146,6 +140,18 @@ module Preprocess = struct
       canonical = Codecs.canonical ~icm (Codec.field "canonical" json);
       modular = Codecs.modular ~icm (Codec.field "modular" json) }
 end
+
+(* [modular] is always [Modular.of_icm] of its own [icm], so the ICM and
+   the preprocess code version name it exactly: the key digests the ~2 KB
+   ICM JSON, not the ~18 KB modular expansion. The price is that any
+   change to [Modular.of_icm]'s output must bump [Preprocess.version]
+   (tier-1 pins the preprocess bytes of a Toffoli circuit to catch a
+   missing bump). *)
+let modular_digest =
+  digest_memo (fun (modular : Modular.t) ->
+      Json.Obj
+        [ ("preprocess", Json.String Preprocess.version);
+          ("icm", Codecs.of_icm modular.Modular.icm) ])
 
 module Bridging = struct
   type input = { bridging : bool; modular : Modular.t }

@@ -44,7 +44,9 @@ val check_options : options -> (unit, string) result
 (** Stage 1: gate decomposition, ICM conversion, canonical description,
     modularization and Table-I statistics. {!run} never caches it; its key
     and codec serve callers that store the artifact themselves (the
-    benchmark's traced pass). *)
+    benchmark's traced pass). The bridging, placement and routing keys name
+    [modular] by its ICM and this stage's [version], so a change to
+    [Modular.of_icm]'s output for a fixed ICM must bump [version]. *)
 module Preprocess : sig
   type input = Tqec_circuit.Circuit.t
 

@@ -70,6 +70,13 @@ type workspace = {
      the field was built at, NaN while the field is stale. *)
   mutable cost : iarr;
   mutable cost_penalty : float;
+  (* The cells whose [occ] has risen above 0, each once: [occupied.(0 ..
+     n_occupied - 1)], with [listed] marking its members. An entry whose
+     [occ] fell back to 0 stays until [ensure_cost_field] walks the list
+     and drops it, so a penalty change touches only the routed cells. *)
+  mutable occupied : int array;
+  mutable n_occupied : int;
+  listed : Bytes.t;
   (* Canonical-kernel scratch, region-strided:
        r = (x - rx0) + rnx * ((y - ry0) + rny * (z - rz0)).
      Empty until the workspace's first search, which sizes every array at
@@ -118,6 +125,9 @@ let workspace grid =
     occ = Array.make (Grid.size grid) 0;
     cost = iarr_make 0;
     cost_penalty = Float.nan;
+    occupied = [||];
+    n_occupied = 0;
+    listed = Bytes.make (Grid.size grid) '\000';
     rstamp = iarr_make 0;
     rg = iarr_make 0;
     rf = iarr_make 0;
@@ -189,10 +199,24 @@ let cost_entry ws present_penalty c =
    the sign mask. *)
 let surcharge e = e lxor (e asr (Sys.int_size - 1))
 
+(* Cell [c]'s [occ] just became positive: list it, unless it still is. *)
+let note_occupied ws c =
+  if Bytes.get ws.listed c = '\000' then begin
+    Bytes.set ws.listed c '\001';
+    if ws.n_occupied = Array.length ws.occupied then begin
+      let grown = Array.make (max 64 (2 * ws.n_occupied)) 0 in
+      Array.blit ws.occupied 0 grown 0 ws.n_occupied;
+      ws.occupied <- grown
+    end;
+    ws.occupied.(ws.n_occupied) <- c;
+    ws.n_occupied <- ws.n_occupied + 1
+  end
+
 (* Bring the field to the penalty a search runs at: at most once per
    negotiation pass. A stale (NaN, never equal) field is rebuilt whole. A
-   built one moving to a new penalty recomputes only its occupied cells:
-   an entry with [occ = 0] is [trunc (quantum * history)] at every
+   built one moving to a new penalty recomputes only its occupied cells,
+   walking the occupied list and dropping the entries whose [occ] is back
+   to 0: an entry with [occ = 0] is [trunc (quantum * history)] at every
    penalty. *)
 let ensure_cost_field ws present_penalty =
   if not (ws.cost_penalty = present_penalty) then begin
@@ -200,11 +224,23 @@ let ensure_cost_field ws present_penalty =
       invalid_arg "Router: present penalty must be non-negative";
     let n = Grid.size ws.grid in
     if Bigarray.Array1.dim ws.cost = 0 then ws.cost <- iarr_make n;
-    let built = ws.cost_penalty = ws.cost_penalty in
-    for c = 0 to n - 1 do
-      if (not built) || ws.occ.(c) > 0 then
+    if ws.cost_penalty = ws.cost_penalty then begin
+      let kept = ref 0 in
+      for i = 0 to ws.n_occupied - 1 do
+        let c = ws.occupied.(i) in
+        if ws.occ.(c) > 0 then begin
+          ws.cost.{c} <- cost_entry ws present_penalty c;
+          ws.occupied.(!kept) <- c;
+          incr kept
+        end
+        else Bytes.set ws.listed c '\000'
+      done;
+      ws.n_occupied <- !kept
+    end
+    else
+      for c = 0 to n - 1 do
         ws.cost.{c} <- cost_entry ws present_penalty c
-    done;
+      done;
     ws.cost_penalty <- present_penalty
   end
 
@@ -218,8 +254,9 @@ let invalidate_cost_field ws = ws.cost_penalty <- Float.nan
 
 (* Reference-mode referee for the incremental field updates: a built field
    must equal, cell for cell, a fresh derivation from [history], [occ] and
-   the grid at its own penalty. Spelled out apart from [cost_entry] so a
-   slip in either shows. *)
+   the grid at its own penalty, and every occupied cell must be on the
+   occupied list the next penalty change walks. Spelled out apart from
+   [cost_entry] so a slip in either shows. *)
 let audit_cost_field ws =
   let penalty = ws.cost_penalty in
   if penalty = penalty then
@@ -231,6 +268,10 @@ let audit_cost_field ws =
       in
       let want = if Grid.blocked_c ws.grid c then lnot fresh else fresh in
       let got = ws.cost.{c} in
+      if ws.occ.(c) > 0 && Bytes.get ws.listed c = '\000' then
+        failwith
+          (Printf.sprintf "Router: occupied cell %s missing from the occupied list"
+             (Point3.to_string (Grid.decode ws.grid c)));
       if got <> want then
         failwith
           (Printf.sprintf
@@ -873,6 +914,7 @@ let commit st rn =
       let owners = Option.value ~default:[] (Hashtbl.find_opt st.cell_owner c) in
       Hashtbl.replace st.cell_owner c (rn.net.Bridge.net_id :: owners);
       st.ws.occ.(c) <- st.ws.occ.(c) + 1;
+      if st.ws.occ.(c) = 1 then note_occupied st.ws c;
       refresh_cost st.ws c)
     rn.path
 
@@ -1511,7 +1553,9 @@ module Search = struct
 
   let set_occ t p n =
     if n < 0 then invalid_arg "Router.Search.set_occ: negative";
-    t.occ.(Grid.encode t.grid p) <- n;
+    let c = Grid.encode t.grid p in
+    t.occ.(c) <- n;
+    if n > 0 then note_occupied t c;
     invalidate_cost_field t
 
   let expansions t = t.n_expansions

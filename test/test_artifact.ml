@@ -217,19 +217,22 @@ let test_cache_key_properties () =
    configs; no other key and no stored bytes changed. Flow.run stopped
    storing the preprocess artifact, but its key and bytes stay pinned: a
    caller that caches the stage itself (the benchmark's traced pass) still
-   writes that entry. *)
+   writes that entry. The bridging, placement and routing keys changed once
+   more, on purpose, when they began to name the modular description by
+   its ICM and the preprocess version instead of its own JSON; the
+   preprocess key and all four stored-bytes digests did not. *)
 let pinned_keys =
   [ ( "preprocess",
       "f1e02623e7cf2fbd1fac599287adfed2a969a2fd734dd33f62e00e2f6ba78451",
       "24ab3767a77630191bf4242fad3f060668d8ae798147d3fcb11eb4179f7408eb" );
     ( "bridging",
-      "6763d1024a41e70851c8ec7a9bedcce1006583388d3c05df92b395634e08b92c",
+      "27764955294c8ad2782ad8f95f5c986f0ba6e9d74bc67e4c9722def38d2fc01f",
       "a8c876f26fb04ffaf4ee53afbab3d086cffe404dde44a1e69ad33ca6d02869a7" );
     ( "placement",
-      "b73d5fb24c21d74cbf27d5eac816746608a93b5fc413121cece2d01d2ec6260c",
+      "92e04424da849f28e9148d0a0dd493fa19ac7f737b968eb6e85dd8d7b6f25526",
       "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
     ( "routing",
-      "0c090dc448cb64dca1c5d38636b24ce2facae597b23fd33c5e572ae47d577699",
+      "ea304f71706baf651bc7139861a0e4e0b10ac6c10efdca231f55936226885c58",
       "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
 
 let read_file path =
@@ -292,6 +295,61 @@ let test_pinned_keys_and_bytes () =
       Alcotest.(check string) (stage ^ " stored bytes") digest
         (Tqec_prelude.Hash.sha256_hex (stored_bytes dir ~stage ~key)))
     pinned_keys keys
+
+(* The downstream keys name the modular description by its ICM and
+   [Flow.Preprocess.version] alone, so this pins the preprocess output of a
+   circuit with Toffolis (whose T gadgets and Y/A boxes fig4's CNOTs never
+   reach): a change to what preprocess makes of an ICM must bump that
+   version, or warm caches would serve artifacts built from the old one. *)
+let pinned_preprocess =
+  ("1", "dd5b4152bed7c6cd30e7a6514a39b416c2ad779ba8d276216c89fca05905200f")
+
+let test_pinned_preprocess_bytes () =
+  let c =
+    Tqec_circuit.Benchmarks.generate ~seed:1
+      (Option.get (Tqec_circuit.Benchmarks.find "4gt10-v1_81"))
+  in
+  Alcotest.(check bool) "the circuit has a Toffoli" true
+    (List.exists (function Gate.Toffoli _ -> true | _ -> false) c.Circuit.gates);
+  let pre = Flow.Preprocess.run ~trace:Tqec_obs.Trace.noop c in
+  Alcotest.(check bool) "its modular description has Y/A boxes" true
+    (Array.exists Tqec_modular.Modular.is_box pre.Flow.Preprocess.modular.Tqec_modular.Modular.modules);
+  let digest =
+    Tqec_prelude.Hash.sha256_hex (Json.to_string (Flow.Preprocess.encode pre))
+  in
+  let version, pinned = pinned_preprocess in
+  if not (String.equal digest pinned) then
+    Alcotest.failf
+      "preprocess output of 4gt10-v1_81 (seed 1) is %s, pinned %s under version %s: \
+       bump Flow.Preprocess.version, then re-pin this digest with it"
+      digest pinned version;
+  Alcotest.(check string) "version the bytes were pinned under" version
+    Flow.Preprocess.version
+
+(* The bridging key is the digest of the ICM and [Flow.Preprocess.version]
+   and nothing else: it equals that digest spelled out here, and a modular
+   description whose derived fields are emptied, over the same ICM, keys
+   the same. *)
+let test_bridging_key_is_icm_digest () =
+  let f = Flow.run ~options:fast_options (fig4_circuit ()) in
+  let m = f.Flow.modular in
+  let key modular = Flow.Bridging.key { Flow.Bridging.bridging = true; modular } in
+  let digest =
+    Tqec_prelude.Hash.sha256_hex
+      (Json.to_string
+         (Json.Obj
+            [ ("preprocess", Json.String Flow.Preprocess.version);
+              ("icm", Codecs.of_icm m.Tqec_modular.Modular.icm) ]))
+  in
+  Alcotest.(check string) "ICM and version digest"
+    (Json.to_string
+       (Json.Obj [ ("bridging", Json.Bool true); ("modular", Json.String digest) ]))
+    (key m);
+  let hollow =
+    { m with Tqec_modular.Modular.modules = [||]; pins = [||]; loops = [||];
+             wire_module = [||]; cross_module = [||] }
+  in
+  Alcotest.(check string) "derived fields unread" (key m) (key hollow)
 
 (* Flow.run never looks up or writes a preprocess entry: a cold run on a
    disk store makes no preprocess directory, and a garbage entry under the
@@ -513,6 +571,10 @@ let suites =
         Alcotest.test_case "stage: pinned keys and bytes" `Quick
           test_pinned_keys_and_bytes;
         Alcotest.test_case "stage: key digest memo" `Quick test_key_digest_memo;
+        Alcotest.test_case "stage: pinned preprocess bytes" `Quick
+          test_pinned_preprocess_bytes;
+        Alcotest.test_case "stage: bridging key is the ICM digest" `Quick
+          test_bridging_key_is_icm_digest;
         Alcotest.test_case "hostile: bytes never raise" `Quick
           test_hostile_bytes_never_raise;
         Alcotest.test_case "hostile: corrupt entry is a miss" `Quick
