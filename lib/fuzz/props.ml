@@ -97,26 +97,36 @@ type bstar_op =
   | Copy                   (* continue on a copy; the original is retained *)
   | Warm                   (* populate the cache *)
 
+let block_dims_gen = Gen.pair (Gen.int_range 1 6) (Gen.int_range 1 6)
+
+(* Mutations of a tree over [n] blocks; [Copy] only when [copies]. *)
+let bstar_op n ~copies =
+  let open Gen in
+  let block = int_bound n in
+  frequency
+    ([ (3, map2 (fun a b -> Swap (a, b)) block block);
+       (3, map2 (fun b s -> Move (b, s)) block (int_bound 1_000_000));
+       (2, map2 (fun b d -> Set_dims (b, d)) block block_dims_gen) ]
+     @ (if copies then [ (1, const Copy) ] else [])
+     @ [ (2, const Warm) ])
+
 let bstar_arbitrary =
   let open Gen in
   let gen =
     bind (int_range 2 12) (fun n ->
-        let block = int_bound n in
-        let dims = pair (int_range 1 6) (int_range 1 6) in
-        let op =
-          frequency
-            [ (3, map2 (fun a b -> Swap (a, b)) block block);
-              (3, map2 (fun b s -> Move (b, s)) block (int_bound 1_000_000));
-              (2, map2 (fun b d -> Set_dims (b, d)) block dims);
-              (1, const Copy);
-              (2, const Warm) ]
-        in
-        pair (array_n n dims) (list ~max_len:32 op))
+        pair (array_n n block_dims_gen) (list ~max_len:32 (bstar_op n ~copies:true)))
   in
   Property.make
     ~print:(fun (dims, ops) ->
       Printf.sprintf "%d blocks, %d ops" (Array.length dims) (List.length ops))
     gen
+
+let apply_op t = function
+  | Swap (a, b) -> Bstar.swap_blocks t a b
+  | Move (b, s) -> Bstar.move_block ~rng:(Rng.create s) t b
+  | Set_dims (b, d) -> Bstar.set_block_dims t b d
+  | Warm -> ignore (Bstar.pack t)
+  | Copy -> ()
 
 let equal_packing (a : Bstar.packing) (b : Bstar.packing) =
   a.Bstar.xs = b.Bstar.xs && a.Bstar.ys = b.Bstar.ys
@@ -124,8 +134,8 @@ let equal_packing (a : Bstar.packing) (b : Bstar.packing) =
   && a.Bstar.span_y = b.Bstar.span_y
 
 (* The cached packing must equal a from-scratch evaluation after every
-   mutation, and trees sharing a cache with a mutated copy must keep
-   answering from their own (still valid) snapshot. *)
+   mutation, and the trees a mutated copy was taken from must keep
+   answering from their own (still valid) buffers. *)
 let pack_cache =
   Prop
     ( "bstar-pack-cache",
@@ -137,16 +147,55 @@ let pack_cache =
         List.for_all
           (fun op ->
             (match op with
-             | Swap (a, b) -> Bstar.swap_blocks !t a b
-             | Move (b, s) -> Bstar.move_block ~rng:(Rng.create s) !t b
-             | Set_dims (b, d) -> Bstar.set_block_dims !t b d
              | Copy ->
                  retained := !t :: !retained;
                  t := Bstar.copy !t
-             | Warm -> ignore (Bstar.pack !t));
+             | Swap _ | Move _ | Set_dims _ | Warm -> apply_op !t op);
             coherent !t)
           ops
         && List.for_all coherent !retained )
+
+(* (dims, mutations of src, mutations of dst, mutations of src after the
+   checkpoint): the two trees start from different states, warm or stale. *)
+let checkpoint_arbitrary =
+  let open Gen in
+  let gen =
+    bind (int_range 2 12) (fun n ->
+        let ops = list ~max_len:16 (bstar_op n ~copies:false) in
+        map2
+          (fun (dims, pre_src) (pre_dst, post) -> (dims, pre_src, pre_dst, post))
+          (pair (array_n n block_dims_gen) ops)
+          (pair ops ops))
+  in
+  Property.make
+    ~print:(fun (dims, a, b, c) ->
+      Printf.sprintf "%d blocks, %d/%d/%d ops" (Array.length dims) (List.length a)
+        (List.length b) (List.length c))
+    gen
+
+(* The annealer's tier checkpoint: after [blit ~src ~dst], mutating and
+   re-packing [src] leaves [dst] equal to [src] as it was, answering that
+   packing from its own buffer; blitting back restores [src] exactly. *)
+let checkpoint =
+  Prop
+    ( "bstar-checkpoint",
+      checkpoint_arbitrary,
+      fun (dims, pre_src, pre_dst, post) ->
+        let src = Bstar.create dims and dst = Bstar.create dims in
+        List.iter (apply_op src) pre_src;
+        List.iter (apply_op dst) pre_dst;
+        let before = Bstar.copy src in
+        let coherent tr = equal_packing (Bstar.pack tr) (Bstar.repack tr) in
+        let as_before tr =
+          Bstar.equal tr before && coherent tr
+          && equal_packing (Bstar.pack tr) (Bstar.repack before)
+        in
+        Bstar.blit ~src ~dst;
+        let copied = Bstar.equal dst before in
+        List.iter (apply_op src) post;
+        let kept = as_before dst && coherent src in
+        Bstar.blit ~src:dst ~dst:src;
+        copied && kept && as_before src )
 
 let incremental_cost ~max_qubits ~max_gates =
   Prop
@@ -315,6 +364,7 @@ let all ~max_qubits ~max_gates =
     volume ~max_qubits ~max_gates;
     oracle ~max_qubits ~max_gates;
     pack_cache;
+    checkpoint;
     incremental_cost ~max_qubits ~max_gates;
     artifact_roundtrip ~max_qubits ~max_gates;
     cache_warm_identity ~max_qubits ~max_gates;

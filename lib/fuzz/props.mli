@@ -46,9 +46,18 @@ val oracle : max_qubits:int -> max_gates:int -> prop
 val pack_cache : prop
 (** [bstar-pack-cache]: after an arbitrary sequence of B*-tree mutations
     (swaps, moves, resizes, copies), the dirty-bit-cached {!Tqec_place.Bstar.pack}
-    equals a from-scratch {!Tqec_place.Bstar.repack}, and trees that shared a
-    cache with a since-mutated copy still answer from their own valid
-    snapshot. *)
+    equals a from-scratch {!Tqec_place.Bstar.repack}, and trees a
+    since-mutated copy was taken from still answer from their own valid
+    buffers. *)
+
+val checkpoint : prop
+(** [bstar-checkpoint]: the annealer's tier checkpoint round trip. From
+    arbitrary (warm or stale) states of two trees over the same blocks,
+    after {!Tqec_place.Bstar.blit}[ ~src ~dst] and further swaps, moves,
+    resizes and packs of [src], [dst] still equals [src] as it was
+    ({!Tqec_place.Bstar.equal}) and its {!Tqec_place.Bstar.pack} equals the
+    from-scratch packing of that state; blitting [dst] back restores [src]
+    exactly, packing included. *)
 
 val incremental_cost : max_qubits:int -> max_gates:int -> prop
 (** [sa-incremental-cost]: over a random perturbation walk on a real
@@ -80,7 +89,7 @@ val restricted_region : max_qubits:int -> max_gates:int -> prop
     volume (a few percent, either direction) drift between the modes. *)
 
 val all : max_qubits:int -> max_gates:int -> prop list
-(** The eight properties, in the order above. *)
+(** The nine properties, in the order above. *)
 
 val run_prop :
   ?count:int -> ?seed:int -> prop -> Tqec_proptest.Property.outcome

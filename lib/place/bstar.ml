@@ -1,41 +1,54 @@
 module Rng = Tqec_prelude.Rng
 
-type packing = { xs : int array; ys : int array; span_x : int; span_y : int }
+type packing = {
+  xs : int array;
+  ys : int array;
+  mutable span_x : int;
+  mutable span_y : int;
+}
 
 type t = {
-  dims : (int * int) array;     (* block id -> (dx, dy) *)
+  dx : int array;               (* block id -> footprint along x *)
+  dy : int array;               (* block id -> footprint along y *)
   node_block : int array;       (* node -> block id *)
   block_node : int array;       (* block id -> node *)
   parent : int array;
   left : int array;
   right : int array;
   mutable root : int;
-  (* Last evaluation of this tree, keyed by the spacing it was computed
-     with. A packing is immutable once built, so copies of the tree share
-     it until one of them mutates and drops its reference (the dirty bit
-     is [cache = None]). *)
-  mutable cache : (int * packing) option;
-  (* Per-tree [repack] scratch, never shared between trees: the contour
-     (grown to the widest packing seen) and the DFS stack of (node, x)
-     pairs — each node is pushed at most once, so 2n ints suffice. *)
+  (* This tree's packing buffer, owned for life and rewritten in place by
+     [pack] after a mutation; [packed_at] is the spacing its contents were
+     evaluated with, or [stale] when a mutation has outdated them. *)
+  pk : packing;
+  mutable packed_at : int;
+  (* Evaluation scratch, never shared between trees: the contour (grown to
+     the widest packing seen) and the DFS stack of (node, x) pairs — each
+     node is pushed at most once, so 2n ints suffice. *)
   mutable contour : int array;
   stack : int array;
 }
 
+let stale = min_int
+
 let num_blocks t = Array.length t.node_block
+
+let empty_packing n =
+  { xs = Array.make n 0; ys = Array.make n 0; span_x = 0; span_y = 0 }
 
 let create dims =
   let n = Array.length dims in
   if n = 0 then invalid_arg "Bstar.create: no blocks";
   let t =
-    { dims = Array.copy dims;
+    { dx = Array.map fst dims;
+      dy = Array.map snd dims;
       node_block = Array.init n (fun i -> i);
       block_node = Array.init n (fun i -> i);
       parent = Array.make n (-1);
       left = Array.make n (-1);
       right = Array.make n (-1);
       root = 0;
-      cache = None;
+      pk = empty_packing n;
+      packed_at = stale;
       contour = [||];
       stack = Array.make (2 * n) 0 }
   in
@@ -54,97 +67,139 @@ let create dims =
   t
 
 let copy t =
-  { dims = Array.copy t.dims;
+  { dx = Array.copy t.dx;
+    dy = Array.copy t.dy;
     node_block = Array.copy t.node_block;
     block_node = Array.copy t.block_node;
     parent = Array.copy t.parent;
     left = Array.copy t.left;
     right = Array.copy t.right;
     root = t.root;
-    cache = t.cache;
+    pk =
+      { xs = Array.copy t.pk.xs; ys = Array.copy t.pk.ys;
+        span_x = t.pk.span_x; span_y = t.pk.span_y };
+    packed_at = t.packed_at;
     contour = [||];
     stack = Array.make (Array.length t.stack) 0 }
 
-let blit ~src ~dst =
+(* One pass over the nine per-block arrays: every element is an immediate
+   int, so this is plain loads and stores, with no write barrier and no
+   per-array C call. Every per-block array of a tree, packing buffer
+   included, is allocated with [num_blocks] entries and never replaced, so
+   the size check covers all eighteen arrays and the accesses go unchecked. *)
+let[@tqec.hot] blit ~src ~dst =
   if num_blocks src <> num_blocks dst then invalid_arg "Bstar.blit: size mismatch";
-  let n = num_blocks src in
-  Array.blit src.dims 0 dst.dims 0 n;
-  Array.blit src.node_block 0 dst.node_block 0 n;
-  Array.blit src.block_node 0 dst.block_node 0 n;
-  Array.blit src.parent 0 dst.parent 0 n;
-  Array.blit src.left 0 dst.left 0 n;
-  Array.blit src.right 0 dst.right 0 n;
+  let sp = src.pk and dp = dst.pk in
+  for b = 0 to num_blocks src - 1 do
+    Array.unsafe_set dst.dx b (Array.unsafe_get src.dx b);
+    Array.unsafe_set dst.dy b (Array.unsafe_get src.dy b);
+    Array.unsafe_set dst.node_block b (Array.unsafe_get src.node_block b);
+    Array.unsafe_set dst.block_node b (Array.unsafe_get src.block_node b);
+    Array.unsafe_set dst.parent b (Array.unsafe_get src.parent b);
+    Array.unsafe_set dst.left b (Array.unsafe_get src.left b);
+    Array.unsafe_set dst.right b (Array.unsafe_get src.right b);
+    Array.unsafe_set dp.xs b (Array.unsafe_get sp.xs b);
+    Array.unsafe_set dp.ys b (Array.unsafe_get sp.ys b)
+  done;
   dst.root <- src.root;
-  dst.cache <- src.cache
+  dp.span_x <- sp.span_x;
+  dp.span_y <- sp.span_y;
+  dst.packed_at <- src.packed_at
 
 let equal a b =
-  a.dims = b.dims && a.node_block = b.node_block && a.block_node = b.block_node
-  && a.parent = b.parent && a.left = b.left && a.right = b.right && a.root = b.root
+  a.dx = b.dx && a.dy = b.dy && a.node_block = b.node_block
+  && a.block_node = b.block_node && a.parent = b.parent && a.left = b.left
+  && a.right = b.right && a.root = b.root
 
-let block_dims t b = t.dims.(b)
+let block_dims t b = (t.dx.(b), t.dy.(b))
 
-let set_block_dims t b d =
-  if t.dims.(b) <> d then begin
-    t.dims.(b) <- d;
-    t.cache <- None
+let set_block_dims t b (dx, dy) =
+  if t.dx.(b) <> dx || t.dy.(b) <> dy then begin
+    t.dx.(b) <- dx;
+    t.dy.(b) <- dy;
+    t.packed_at <- stale
   end
 
-let repack ?(spacing = 1) t =
-  let n = num_blocks t in
-  let xs = Array.make n 0 and ys = Array.make n 0 in
-  (* Contour over x columns; total width bounds the needed columns. *)
-  let total_w = ref 0 in
-  for b = 0 to n - 1 do
-    total_w := !total_w + fst t.dims.(b) + spacing
-  done;
-  let ncols = max 1 !total_w in
-  if Array.length t.contour < ncols then t.contour <- Array.make ncols 0
-  else Array.fill t.contour 0 ncols 0;
-  let contour = t.contour and last_col = ncols - 1 in
-  let span_x = ref 0 and span_y = ref 0 in
-  (* Preorder DFS; each frame carries the x origin. *)
-  let stack = t.stack in
-  stack.(0) <- t.root;
-  stack.(1) <- 0;
-  let sp = ref 2 in
-  while !sp > 0 do
-    sp := !sp - 2;
-    let node = stack.(!sp) and x = stack.(!sp + 1) in
+(* Highest contour value over columns [c .. hi], at least [y]. *)
+let[@tqec.hot] rec contour_max (contour : int array) c hi (y : int) =
+  if c > hi then y
+  else contour_max contour (c + 1) hi (if contour.(c) > y then contour.(c) else y)
+
+(* Preorder DFS over the stack's [sp / 2] pending (node, x) frames, placing
+   each node's block on the contour. *)
+let[@tqec.hot] rec place_nodes t p spacing last_col sp =
+  if sp > 0 then begin
+    let sp = sp - 2 in
+    let stack = t.stack and contour = t.contour in
+    let node = stack.(sp) and x = stack.(sp + 1) in
     let b = t.node_block.(node) in
-    let dx, dy = t.dims.(b) in
+    let dx = t.dx.(b) and dy = t.dy.(b) in
     let dx' = dx + spacing and dy' = dy + spacing in
-    let y = ref 0 in
-    for c = x to min (x + dx' - 1) last_col do
-      if contour.(c) > !y then y := contour.(c)
-    done;
-    let y = !y in
-    for c = x to min (x + dx' - 1) last_col do
+    let hi = if x + dx' - 1 < last_col then x + dx' - 1 else last_col in
+    let y = contour_max contour x hi 0 in
+    for c = x to hi do
       contour.(c) <- y + dy'
     done;
-    xs.(b) <- x;
-    ys.(b) <- y;
-    if x + dx > !span_x then span_x := x + dx;
-    if y + dy > !span_y then span_y := y + dy;
-    if t.right.(node) >= 0 then begin
-      stack.(!sp) <- t.right.(node);
-      stack.(!sp + 1) <- x;
-      sp := !sp + 2
-    end;
-    if t.left.(node) >= 0 then begin
-      stack.(!sp) <- t.left.(node);
-      stack.(!sp + 1) <- x + dx';
-      sp := !sp + 2
-    end
-  done;
-  { xs; ys; span_x = !span_x; span_y = !span_y }
+    p.xs.(b) <- x;
+    p.ys.(b) <- y;
+    if x + dx > p.span_x then p.span_x <- x + dx;
+    if y + dy > p.span_y then p.span_y <- y + dy;
+    let r = t.right.(node) and l = t.left.(node) in
+    let sp =
+      if r >= 0 then begin
+        stack.(sp) <- r;
+        stack.(sp + 1) <- x;
+        sp + 2
+      end
+      else sp
+    in
+    let sp =
+      if l >= 0 then begin
+        stack.(sp) <- l;
+        stack.(sp + 1) <- x + dx';
+        sp + 2
+      end
+      else sp
+    in
+    place_nodes t p spacing last_col sp
+  end
 
-let pack ?(spacing = 1) t =
-  match t.cache with
-  | Some (sp, p) when sp = spacing -> p
-  | Some _ | None ->
-      let p = repack ~spacing t in
-      t.cache <- Some (spacing, p);
-      p
+let[@tqec.allow
+     "hot-path-alloc: contour growth is amortized; a tree reallocates only \
+      when its total block width exceeds the widest it has packed"]
+    grow_contour t ncols =
+  t.contour <- Array.make ncols 0
+
+(* Sum of the spaced block widths [dx.(0 .. b)], added to [acc]. *)
+let[@tqec.hot] rec total_width dx spacing b acc =
+  if b < 0 then acc else total_width dx spacing (b - 1) (acc + dx.(b) + spacing)
+
+(* Evaluate the tree into [p], overwriting every entry. The contour spans
+   the total spaced width, which bounds every column a block can reach. *)
+let[@tqec.hot] evaluate t ~spacing p =
+  let w = total_width t.dx spacing (num_blocks t - 1) 0 in
+  let ncols = if w > 1 then w else 1 in
+  if Array.length t.contour < ncols then grow_contour t ncols
+  else Array.fill t.contour 0 ncols 0;
+  p.span_x <- 0;
+  p.span_y <- 0;
+  t.stack.(0) <- t.root;
+  t.stack.(1) <- 0;
+  place_nodes t p spacing (ncols - 1) 2
+
+let repack ?(spacing = 1) t =
+  let p = empty_packing (num_blocks t) in
+  evaluate t ~spacing p;
+  p
+
+let[@tqec.hot] pack_spaced ~spacing t =
+  if t.packed_at <> spacing then begin
+    evaluate t ~spacing t.pk;
+    t.packed_at <- spacing
+  end;
+  t.pk
+
+let pack ?(spacing = 1) t = pack_spaced ~spacing t
 
 let swap_blocks t b1 b2 =
   if b1 <> b2 then begin
@@ -154,20 +209,19 @@ let swap_blocks t b1 b2 =
     t.block_node.(b1) <- n2;
     t.block_node.(b2) <- n1;
     (* Node positions depend only on tree shape and per-node dims, so a swap
-       of equal-footprint blocks just exchanges the two blocks' coordinates.
-       Cached packings are shared across copies, hence copy-on-write. *)
-    match t.cache with
-    | Some (sp, p) when t.dims.(b1) = t.dims.(b2) ->
-        let xs = Array.copy p.xs and ys = Array.copy p.ys in
-        let x = xs.(b1) in
-        xs.(b1) <- xs.(b2);
-        xs.(b2) <- x;
-        let y = ys.(b1) in
-        ys.(b1) <- ys.(b2);
-        ys.(b2) <- y;
-        t.cache <- Some (sp, { p with xs; ys })
-    | Some _ -> t.cache <- None
-    | None -> ()
+       of equal-footprint blocks just exchanges the two blocks' coordinates
+       in the tree's own buffer. *)
+    if t.packed_at <> stale then begin
+      if t.dx.(b1) = t.dx.(b2) && t.dy.(b1) = t.dy.(b2) then begin
+        let p = t.pk in
+        let x = p.xs.(b1) and y = p.ys.(b1) in
+        p.xs.(b1) <- p.xs.(b2);
+        p.ys.(b1) <- p.ys.(b2);
+        p.xs.(b2) <- x;
+        p.ys.(b2) <- y
+      end
+      else t.packed_at <- stale
+    end
   end
 
 let random_block rng t = Rng.int rng (num_blocks t)
@@ -197,7 +251,7 @@ let unlink_leaf t leaf =
 
 let move_block ~rng t b =
   if num_blocks t >= 2 then begin
-    t.cache <- None;
+    t.packed_at <- stale;
     let node = t.block_node.(b) in
     let leaf = sink_to_leaf rng t node in
     (* The block now at [leaf] is [b]. If the leaf is the root the tree has

@@ -92,7 +92,8 @@ let initial_state cl ~ntiers =
     cluster_tier;
     cluster_idx }
 
-let pack_all s = Array.map (fun tree -> Bstar.pack ~spacing tree) s.trees
+(* Each tree's own packing buffer, evaluated if stale. *)
+let pack_all trees = Array.map (Bstar.pack_spaced ~spacing) trees
 
 (* Tier heights are uniform (every module is 2 units tall), so tier [t]
    starts at z = t * (2 + z_gap). The vertical gap is a routing plane and may
@@ -134,20 +135,25 @@ let wirelength_of cl cluster_pos nets =
    every tier, the absolute cluster positions and a per-net length cache.
    A move mutates it in place and records in its [journal] just what it
    touched, so a rejected move is undone in time proportional to the
-   move, not the floorplan:
+   move, not the floorplan. Checkpoint, re-pack, position sync and undo
+   allocate nothing (they are [@tqec.hot], so the lint checks it):
 
    - each touched tier's tree is checkpointed into a spare tree
-     ([Bstar.blit]) before the first mutation and restored by swapping the
-     two pointers, together with its previous packing;
+     ([Bstar.blit], which copies the packing buffer too) before the first
+     mutation and restored by swapping the two pointers; [packs.(t)] is
+     always the packing buffer of [state.trees.(t)], so the swap brings the
+     pre-move packing back with the tree;
    - each cluster whose slot changed keeps its old slot, each cluster whose
      position changed its old position, each re-measured net its old
      length, plus the old wirelength.
 
-   After a perturbation [resync] re-packs the touched tiers only,
-   re-enforces TSL order on the groups with a member on a touched tier,
-   diffs the positions of the clusters that can have moved (those on
-   touched tiers and those whose slot changed) and re-measures the nets
-   incident to clusters that did move (via [Cluster.net_index]). The full
+   After a perturbation [resync] re-packs the touched tiers only (in
+   place, into each tree's own buffer), re-enforces TSL order on the
+   groups with a member on a touched tier, diffs the positions of the
+   clusters that can have moved (the slot rows of touched tiers, walked by
+   index, and the clusters whose slot changed onto an untouched tier) and
+   re-measures the nets incident to clusters that did move (via
+   [Cluster.net_index]). The full
    O(all tiers + all nets) evaluation survives as [full_cost], the
    reference [check_incremental_cost] audits the incremental one against. *)
 (* ------------------------------------------------------------------ *)
@@ -159,7 +165,6 @@ type journal = {
   net_stamp : int array;      (* net -> generation it was re-measured in *)
   mutable n_touched : int;
   touched : int array;        (* touched tiers, in touch order *)
-  old_packs : Bstar.packing array;
   mutable n_slots : int;
   slot_c : int array;         (* clusters whose slot changed ... *)
   slot_t : int array;         (* ... and their slot before the move *)
@@ -185,7 +190,7 @@ type journal = {
 type eval = {
   state : state;
   spare : Bstar.t array;                (* tier -> checkpoint tree *)
-  packs : Bstar.packing array;          (* tier -> current packing *)
+  packs : Bstar.packing array;          (* tier -> trees.(t)'s packing buffer *)
   cx : int array;                       (* cluster id -> absolute position *)
   cy : int array;
   cz : int array;
@@ -234,8 +239,7 @@ let make_ctx cl nets =
     index = Cluster.net_index cl nets;
     tsl = Array.map Array.of_list cl.Cluster.tsl }
 
-let make_journal ctx packs =
-  let ntiers = Array.length packs in
+let make_journal ctx ntiers =
   let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
   let group = Array.fold_left (fun acc g -> max acc (Array.length g)) 0 ctx.tsl in
   { gen = 0;
@@ -244,7 +248,6 @@ let make_journal ctx packs =
     net_stamp = Array.make nnets 0;
     n_touched = 0;
     touched = Array.make ntiers 0;
-    old_packs = Array.copy packs;
     n_slots = 0;
     slot_c = Array.make ncl 0;
     slot_t = Array.make ncl 0;
@@ -275,13 +278,12 @@ let[@tqec.hot] begin_move e =
   j.old_wirelength <- e.wirelength
 
 (* The tree of tier [t], checkpointed on its first mutation in this move. *)
-let touch e t =
+let[@tqec.hot] touch e t =
   let j = e.journal in
   if j.tier_stamp.(t) <> j.gen then begin
     j.tier_stamp.(t) <- j.gen;
     Bstar.blit ~src:e.state.trees.(t) ~dst:e.spare.(t);
     j.touched.(j.n_touched) <- t;
-    j.old_packs.(j.n_touched) <- e.packs.(t);
     j.n_touched <- j.n_touched + 1
   end;
   e.state.trees.(t)
@@ -356,14 +358,13 @@ let[@tqec.hot] enforce_tsl ctx e =
 let perturb_state ctx rng e =
   let s = e.state in
   let ntiers = Array.length s.trees in
-  let random_tier () = Rng.int rng ntiers in
   let op = Rng.int rng 3 in
   match op with
   | 0 ->
       (* Intra-tier swap: the two clusters trade tree nodes, i.e. places in
          the tier's floorplan; the slot->cluster map is untouched because
          blocks are identified with tier-local slot indices. *)
-      let t = random_tier () in
+      let t = Rng.int rng ntiers in
       if Bstar.num_blocks s.trees.(t) >= 2 then begin
         let tree = touch e t in
         let b1 = Bstar.random_block rng tree and b2 = Bstar.random_block rng tree in
@@ -371,14 +372,15 @@ let perturb_state ctx rng e =
       end
   | 1 ->
       (* intra-tier move *)
-      let t = random_tier () in
+      let t = Rng.int rng ntiers in
       if Bstar.num_blocks s.trees.(t) >= 2 then begin
         let tree = touch e t in
         Bstar.move_block ~rng tree (Bstar.random_block rng tree)
       end
   | _ ->
       (* inter-tier swap: exchange the clusters of two slots. *)
-      let t1 = random_tier () and t2 = random_tier () in
+      let t1 = Rng.int rng ntiers in
+      let t2 = Rng.int rng ntiers in
       if t1 <> t2 then begin
         let tree1 = touch e t1 and tree2 = touch e t2 in
         let i1 = Bstar.random_block rng tree1 in
@@ -399,10 +401,9 @@ let[@tqec.hot] measure_net ctx e i =
   + abs (e.cy.(a) + ctx.na_ry.(i) - (e.cy.(b) + ctx.nb_ry.(i)))
   + abs (e.cz.(a) + ctx.na_rz.(i) - (e.cz.(b) + ctx.nb_rz.(i)))
 
-let[@tqec.hot] update_position e c =
-  let t = e.state.cluster_tier.(c) and idx = e.state.cluster_idx.(c) in
-  let p : Bstar.packing = e.packs.(t) in
-  let x = p.Bstar.xs.(idx) and y = p.Bstar.ys.(idx) and z = tier_z t in
+(* Move cluster [c] to (x, y, z) if that is not where it is, journaling
+   its old position. *)
+let[@tqec.hot] update_position e c x y z =
   if x <> e.cx.(c) || y <> e.cy.(c) || z <> e.cz.(c) then begin
     let j = e.journal in
     j.moved_c.(j.n_moved) <- c;
@@ -416,18 +417,27 @@ let[@tqec.hot] update_position e c =
   end
 
 (* Only clusters on a touched tier (re-packed) or with a changed slot can
-   have moved; every net incident to a moved cluster is re-measured once,
-   after all positions are final. *)
+   have moved. A touched tier's slot row is walked by index against its
+   packing; a changed slot on an untouched tier is looked up. Every net
+   incident to a moved cluster is then re-measured once, after all
+   positions are final. *)
 let[@tqec.hot] sync_positions ctx e =
   let s = e.state and j = e.journal in
   for k = 0 to j.n_touched - 1 do
-    let row = s.slot_cluster.(j.touched.(k)) in
+    let t = j.touched.(k) in
+    let row = s.slot_cluster.(t) and p : Bstar.packing = e.packs.(t) in
+    let xs = p.Bstar.xs and ys = p.Bstar.ys and z = tier_z t in
     for idx = 0 to Array.length row - 1 do
-      update_position e row.(idx)
+      update_position e row.(idx) xs.(idx) ys.(idx) z
     done
   done;
   for k = 0 to j.n_slots - 1 do
-    update_position e j.slot_c.(k)
+    let c = j.slot_c.(k) in
+    let t = s.cluster_tier.(c) in
+    if j.tier_stamp.(t) <> j.gen then begin
+      let idx = s.cluster_idx.(c) and p : Bstar.packing = e.packs.(t) in
+      update_position e c p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z t)
+    end
   done;
   for k = 0 to j.n_moved - 1 do
     let nets = ctx.index.(j.moved_c.(k)) in
@@ -454,7 +464,8 @@ let[@tqec.hot] undo e =
     let mutated = s.trees.(t) in
     s.trees.(t) <- e.spare.(t);
     e.spare.(t) <- mutated;
-    e.packs.(t) <- j.old_packs.(k)
+    (* O(1): the checkpoint copied a packing that was current. *)
+    e.packs.(t) <- Bstar.pack_spaced ~spacing s.trees.(t)
   done;
   for k = 0 to j.n_slots - 1 do
     let c = j.slot_c.(k) and t = j.slot_t.(k) and idx = j.slot_i.(k) in
@@ -477,11 +488,11 @@ let[@tqec.hot] undo e =
   j.n_moved <- 0;
   j.n_nets <- 0
 
-let resync ctx e =
+let[@tqec.hot] resync ctx e =
   let j = e.journal in
   for k = 0 to j.n_touched - 1 do
     let t = j.touched.(k) in
-    e.packs.(t) <- Bstar.pack ~spacing e.state.trees.(t)
+    e.packs.(t) <- Bstar.pack_spaced ~spacing e.state.trees.(t)
   done;
   enforce_tsl ctx e;
   sync_positions ctx e
@@ -494,7 +505,7 @@ let perturb ctx rng e =
 (* The initial evaluation runs the same TSL enforcement with every tier
    counted as touched, then measures every position and net. *)
 let eval_of_state ctx s =
-  let packs = pack_all s in
+  let packs = pack_all s.trees in
   let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
   let e =
     { state = s;
@@ -505,7 +516,7 @@ let eval_of_state ctx s =
       cz = Array.make ncl 0;
       net_len = Array.make nnets 0;
       wirelength = 0;
-      journal = make_journal ctx packs }
+      journal = make_journal ctx (Array.length packs) }
   in
   begin_move e;
   Array.fill e.journal.tier_stamp 0 (Array.length packs) e.journal.gen;
@@ -522,23 +533,28 @@ let eval_of_state ctx s =
   done;
   e
 
-(* The best-so-far buffer: made once per anneal, refreshed by [blit_eval]. *)
+(* The best-so-far buffer: made once per anneal, refreshed by [blit_eval].
+   Its trees are copies with packing buffers of their own, so the live
+   anneal re-packing its trees in place never shows through. *)
 let copy_eval ctx e =
   let s = e.state in
+  let trees = Array.map Bstar.copy s.trees in
   { state =
-      { trees = Array.map Bstar.copy s.trees;
+      { trees;
         slot_cluster = Array.map Array.copy s.slot_cluster;
         cluster_tier = Array.copy s.cluster_tier;
         cluster_idx = Array.copy s.cluster_idx };
     spare = Array.map Bstar.copy s.trees;
-    packs = Array.copy e.packs;
+    packs = pack_all trees;
     cx = Array.copy e.cx;
     cy = Array.copy e.cy;
     cz = Array.copy e.cz;
     net_len = Array.copy e.net_len;
     wirelength = e.wirelength;
-    journal = make_journal ctx e.packs }
+    journal = make_journal ctx (Array.length e.packs) }
 
+(* [dst.packs] keeps pointing at [dst]'s own trees' buffers, which
+   [Bstar.blit] refreshes. *)
 let blit_eval ~src ~dst =
   let s = src.state and d = dst.state in
   Array.iteri (fun t tree -> Bstar.blit ~src:tree ~dst:d.trees.(t)) s.trees;
@@ -547,7 +563,6 @@ let blit_eval ~src ~dst =
   let all a b = Array.blit a 0 b 0 (Array.length a) in
   all s.cluster_tier d.cluster_tier;
   all s.cluster_idx d.cluster_idx;
-  all src.packs dst.packs;
   all src.cx dst.cx;
   all src.cy dst.cy;
   all src.cz dst.cz;
@@ -649,7 +664,7 @@ let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
       ~blit:blit_eval ~cost:a.a_cost ~perturb:a.a_perturb ~undo config.sa
   in
   let final = stats.Sa.best.state in
-  let packs = pack_all final in
+  let packs = pack_all final.trees in
   let cluster_pos = cluster_positions cl final packs in
   let module_pos =
     Array.mapi
@@ -663,8 +678,7 @@ let place ?(trace = Trace.noop) ?pool:_ (config : config) cl nets =
     Trace.incr ~n:(Cluster.num_clusters cl) trace "clusters";
     Trace.incr ~n:(Array.length final.trees) trace "tiers";
     Trace.incr ~n:(d * w * h) trace "placed_volume";
-    Trace.incr ~n:wirelength trace "wirelength";
-    Trace.gauge trace "sa_final_cost" stats.Sa.best_cost
+    Trace.incr ~n:wirelength trace "wirelength"
   end;
   { cluster = cl;
     module_pos;
@@ -691,12 +705,18 @@ let equal_packing (a : Bstar.packing) (b : Bstar.packing) =
   && a.Bstar.span_x = b.Bstar.span_x
   && a.Bstar.span_y = b.Bstar.span_y
 
+(* [e.packs.(t)] is tree [t]'s own buffer, and current. *)
+let packs_coherent e =
+  Array.for_all2
+    (fun tree p -> Bstar.pack ~spacing tree == p && equal_packing p (Bstar.repack ~spacing tree))
+    e.state.trees e.packs
+
 (* Everything a move may touch; journal and spare trees are scratch. *)
 let same_eval a b =
   let sa = a.state and sb = b.state in
   Array.for_all2 Bstar.equal sa.trees sb.trees
   && Array.for_all2 equal_packing a.packs b.packs
-  && Array.for_all2 (fun tree p -> equal_packing (Bstar.pack ~spacing tree) p) sa.trees a.packs
+  && packs_coherent a && packs_coherent b
   && sa.slot_cluster = sb.slot_cluster
   && sa.cluster_tier = sb.cluster_tier
   && sa.cluster_idx = sb.cluster_idx

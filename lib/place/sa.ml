@@ -19,7 +19,8 @@ type 'a stats = {
 
 let run ?(trace = Trace.noop) ~rng ~init ~copy ~blit ~cost ~perturb ~undo params =
   let current = init in
-  let current_cost = ref (cost current) in
+  let initial_cost = cost current in
+  let current_cost = ref initial_cost in
   let best = copy current in
   let best_cost = ref !current_cost in
   let accepted = ref 0 and rejected = ref 0 and improved = ref 0 in
@@ -54,6 +55,7 @@ let run ?(trace = Trace.noop) ~rng ~init ~copy ~blit ~cost ~perturb ~undo params
     Trace.incr ~n:!accepted trace "sa_accepted";
     Trace.incr ~n:!rejected trace "sa_rejected";
     Trace.incr ~n:!improved trace "sa_improved";
+    Trace.gauge trace "sa_initial_cost" initial_cost;
     Trace.gauge trace "sa_best_cost" !best_cost
   end;
   { best; best_cost = !best_cost; accepted = !accepted; rejected = !rejected;

@@ -41,5 +41,7 @@ val run :
     new best; no other copy is made. The returned [best] is that buffer.
     Deterministic given the RNG: per move, the RNG is drawn by [perturb]
     and then at most once by the acceptance test. [trace] (default
-    {!Tqec_obs.Trace.noop}) receives move-acceptance counters without
-    influencing the anneal. *)
+    {!Tqec_obs.Trace.noop}) receives move-acceptance counters and the
+    [sa_initial_cost] and [sa_best_cost] gauges (the cost of [init] and of
+    [best]; best is never above initial, and equal when no move improved
+    on the start) without influencing the anneal. *)

@@ -46,6 +46,8 @@ let test_oracle_prop () =
 
 let test_pack_cache_prop () = expect_pass ~count:100 ~seed:7 Props.pack_cache
 
+let test_checkpoint_prop () = expect_pass ~count:200 ~seed:7 Props.checkpoint
+
 let test_incremental_cost_prop () =
   expect_pass ~count:6 ~seed:7 (Props.incremental_cost ~max_qubits:4 ~max_gates:8)
 
@@ -62,8 +64,8 @@ let test_prop_names () =
   Alcotest.(check (list string))
     "property registry"
     [ "decomposition-semantics"; "volume-vs-lin"; "oracle-agreement";
-      "bstar-pack-cache"; "sa-incremental-cost"; "artifact-roundtrip";
-      "cache-warm-bit-identity"; "route-restricted-region" ]
+      "bstar-pack-cache"; "bstar-checkpoint"; "sa-incremental-cost";
+      "artifact-roundtrip"; "cache-warm-bit-identity"; "route-restricted-region" ]
     (List.map Props.name (Props.all ~max_qubits:4 ~max_gates:8))
 
 let suites =
@@ -75,6 +77,7 @@ let suites =
         Alcotest.test_case "volume property" `Quick test_volume_prop;
         Alcotest.test_case "oracle property" `Quick test_oracle_prop;
         Alcotest.test_case "pack-cache property" `Quick test_pack_cache_prop;
+        Alcotest.test_case "checkpoint property" `Quick test_checkpoint_prop;
         Alcotest.test_case "incremental-cost property" `Quick
           test_incremental_cost_prop;
         Alcotest.test_case "artifact-roundtrip property" `Quick

@@ -13,12 +13,14 @@ let test_rng_pick () =
 
 let test_bstar_resize_affects_packing () =
   let t = Tqec_place.Bstar.create [| (2, 2); (2, 2) |] in
+  (* A packing is the tree's own buffer, re-evaluated in place: read the
+     old area before the resize. *)
   let before = Tqec_place.Bstar.pack ~spacing:0 t in
+  let area_before = before.Tqec_place.Bstar.span_x * before.Tqec_place.Bstar.span_y in
   Tqec_place.Bstar.set_block_dims t 0 (6, 6);
   let after = Tqec_place.Bstar.pack ~spacing:0 t in
   Alcotest.(check bool) "span grows after resize" true
-    (after.Tqec_place.Bstar.span_x * after.Tqec_place.Bstar.span_y
-     > before.Tqec_place.Bstar.span_x * before.Tqec_place.Bstar.span_y);
+    (after.Tqec_place.Bstar.span_x * after.Tqec_place.Bstar.span_y > area_before);
   Alcotest.(check (pair int int)) "dims readable" (6, 6)
     (Tqec_place.Bstar.block_dims t 0)
 

@@ -111,8 +111,8 @@ let check_coherent msg t =
   Alcotest.(check bool) msg true (packing_equal (Bstar.pack t) (Bstar.repack t))
 
 (* The subtle cache path: swapping two equal-dimension blocks keeps the
-   packing geometry but exchanges the blocks' coordinates, and the fixup
-   must not mutate a packing shared with an earlier copy. *)
+   packing geometry but exchanges the blocks' coordinates in place, and the
+   fixup must not reach the packing of an earlier copy. *)
 let test_bstar_cache_equal_dims_swap () =
   let t = blocks_of [ (2, 3); (2, 3); (4, 1); (1, 1) ] in
   ignore (Bstar.pack t);
@@ -133,11 +133,11 @@ let test_bstar_cache_invalidation () =
   let rng = Rng.create 11 in
   Bstar.move_block ~rng t 2;
   check_coherent "move invalidates" t;
-  (* Different spacing must never be served from the cache. *)
-  let p0 = Bstar.pack ~spacing:0 t and p1 = Bstar.pack ~spacing:1 t in
-  Alcotest.(check bool) "spacing distinguishes cache entries" true
-    (packing_equal p0 (Bstar.repack ~spacing:0 t)
-     && packing_equal p1 (Bstar.repack ~spacing:1 t))
+  (* Different spacing must never be served from the cache. Each packing
+     is checked before the next [pack] re-evaluates the tree's buffer. *)
+  let p0_ok = packing_equal (Bstar.pack ~spacing:0 t) (Bstar.repack ~spacing:0 t) in
+  let p1_ok = packing_equal (Bstar.pack ~spacing:1 t) (Bstar.repack ~spacing:1 t) in
+  Alcotest.(check bool) "spacing distinguishes cache entries" true (p0_ok && p1_ok)
 
 let prop_bstar_pack_area =
   QCheck.Test.make ~name:"packing area >= total block area" ~count:100
@@ -280,7 +280,8 @@ let test_place_single_cluster () =
    of the move loop must leave them unchanged. *)
 let test_place_pinned_4gt10 () =
   let module Flow = Tqec_core.Flow in
-  let noop = Tqec_obs.Trace.noop in
+  let module Trace = Tqec_obs.Trace in
+  let noop = Trace.noop in
   let circuit =
     Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
   in
@@ -292,8 +293,9 @@ let test_place_pinned_4gt10 () =
   List.iter
     (fun (iterations, volume, wirelength, accepted, improved, digest) ->
       let options = Flow.scale_options ~sa_iterations:iterations Flow.default_options in
+      let trace = Trace.root "placement" in
       let p =
-        (Flow.Placement.run ~trace:noop
+        (Flow.Placement.run ~trace
            { Flow.Placement.primal_groups = true;
              max_group_size = 4;
              config = options.Flow.place;
@@ -309,7 +311,13 @@ let test_place_pinned_4gt10 () =
       Alcotest.(check int) (at "sa_improved") improved p.Place25d.sa_improved;
       Alcotest.(check string) (at "placement sha256") digest
         (Tqec_prelude.Hash.sha256_hex
-           (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_placement p))))
+           (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_placement p)));
+      (* The trace says whether the anneal improved on its start. *)
+      let gauges = Trace.gauges trace in
+      Alcotest.(check (list string)) (at "SA gauges")
+        [ "sa_best_cost"; "sa_initial_cost" ] (List.map fst gauges);
+      Alcotest.(check bool) (at "best cost <= initial cost") true
+        (List.assoc "sa_best_cost" gauges <= List.assoc "sa_initial_cost" gauges))
     [ (2000, 71440, 16132, 1699, 796,
        "cc0927bbdc489c77ab71f24a305b27023088c299e6f8e8e7824f48b3a48bc44a");
       (20000, 62016, 15252, 16196, 7267,
@@ -319,12 +327,10 @@ let test_place_pinned_4gt10 () =
    against a from-scratch recompute after every move of a 2000-move random
    walk with undos, on the bridged nets of a Table-I row at the default
    placement config. *)
-let test_place_incremental_cost_4gt10 () =
+let check_incremental_cost_on name () =
   let module Flow = Tqec_core.Flow in
   let noop = Tqec_obs.Trace.noop in
-  let circuit =
-    Benchmarks.generate ~seed:42 (Option.get (Benchmarks.find "4gt10-v1_81"))
-  in
+  let circuit = Benchmarks.generate ~seed:42 (Option.get (Benchmarks.find name)) in
   let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
   let nets =
     (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
@@ -386,5 +392,9 @@ let suites =
         Alcotest.test_case "single cluster" `Quick test_place_single_cluster;
         Alcotest.test_case "pinned 4gt10 instance" `Quick test_place_pinned_4gt10;
         Alcotest.test_case "incremental cost on 4gt10" `Quick
-          test_place_incremental_cost_4gt10;
+          (check_incremental_cost_on "4gt10-v1_81");
+        (* 509 clusters on 14 tiers: undo and the pre-move snapshot over
+           many tiers. *)
+        Alcotest.test_case "incremental cost on 4gt4" `Quick
+          (check_incremental_cost_on "4gt4-v0_73");
         QCheck_alcotest.to_alcotest prop_place_valid_on_random_circuits ] ) ]
