@@ -105,7 +105,7 @@ let flows_of prep =
 let section name title =
   Printf.printf "\n================ %s: %s ================\n\n" name title
 
-let ratio num den = Table.fmt_ratio (float_of_int num /. float_of_int (max 1 den))
+let ratio num den = Table.fmt_ratio (float_of_int num /. float_of_int (Int.max 1 den))
 
 (* ------------------------------------------------------------------ *)
 (* Table I — benchmark statistics                                       *)
@@ -181,7 +181,7 @@ let table2_and_4 () =
     rows;
   let avg f =
     let xs = List.map f results in
-    List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs))
+    List.fold_left ( +. ) 0.0 xs /. float_of_int (Int.max 1 (List.length xs))
   in
   Printf.printf "Avg ratio: canonical %.3f, [22]1D %.3f, [22]2D %.3f, ours 1.000\n"
     (avg (fun (_, c, _, _, o) ->
@@ -277,7 +277,9 @@ let table6 () =
       (fun prep ->
         let f = (flows_of prep).ours in
         let b = f.Flow.breakdown in
-        let pct part = Printf.sprintf "%.1f%%" (100.0 *. part /. max 1e-9 b.Flow.t_total) in
+        (* A zero total divides by 1e-9 rather than by zero. *)
+        let total = if 1e-9 >= b.Flow.t_total then 1e-9 else b.Flow.t_total in
+        let pct part = Printf.sprintf "%.1f%%" (100.0 *. part /. total) in
         let other =
           b.Flow.t_total -. b.Flow.t_bridging -. b.Flow.t_placement -. b.Flow.t_routing
         in
@@ -468,7 +470,12 @@ let fig20 () =
    top-level [domains] and [pool_tasks_per_worker], and per benchmark
    [sa_chains] and [sa_moves_per_chain]. Placement is one anneal and
    routing one negotiation loop, so the run does the same work at every
-   pool size. *)
+   pool size.
+
+   Schema v8 adds the annealer's Phi at its start and at its best,
+   [sa_initial_cost] and [sa_best_cost] (the placement span's gauges; null
+   if the placement was a cache hit), so a baseline shows whether the
+   anneal improved on its initial packing. *)
 
 let validity_fields prefix (f : Flow.t) =
   let module Json = Tqec_obs.Json in
@@ -538,6 +545,13 @@ let json_mode () =
         let b = f.Flow.breakdown in
         let sa_moves = Flow.stage_counter f "placement" "sa_moves" in
         let expansions = Flow.stage_counter f "routing" "astar_expansions" in
+        let sa_gauge name =
+          match Option.map Tqec_obs.Trace.gauges (Flow.stage_span f "placement") with
+          | Some gauges ->
+              Option.fold ~none:Json.Null ~some:(fun v -> Json.Float v)
+                (List.assoc_opt name gauges)
+          | None -> Json.Null
+        in
         let c =
           match !cache_dir with
           | Some dir -> cache_runs_of dir prep
@@ -552,6 +566,8 @@ let json_mode () =
                ("t_routing", Json.Float b.Flow.t_routing);
                ("sa_moves", Json.Int sa_moves);
                ("sa_moves_per_sec", Json.Float (per_sec sa_moves b.Flow.t_placement));
+               ("sa_initial_cost", sa_gauge "sa_initial_cost");
+               ("sa_best_cost", sa_gauge "sa_best_cost");
                ("astar_expansions", Json.Int expansions);
                ("heap_pushes", Json.Int (Flow.stage_counter f "routing" "heap_pushes"));
                ("astar_expansions_per_sec",
@@ -573,7 +589,7 @@ let json_mode () =
   print_endline
     (Json.to_string ~pretty:true
        (Json.Obj
-          [ ("schema_version", Json.Int 7);
+          [ ("schema_version", Json.Int 8);
             ("effort", Json.String (effort_name ()));
             ("seed", Json.Int seed);
             ("cache", Json.Bool (Option.is_some !cache_dir));

@@ -71,7 +71,7 @@ let run benchmark real_file seed sa_iterations route_iterations tiers
         w h d flow.volume
         (Tqec_canonical.Canonical.total_volume flow.canonical)
         (float_of_int (Tqec_canonical.Canonical.total_volume flow.canonical)
-         /. float_of_int (max 1 flow.volume));
+         /. float_of_int (Int.max 1 flow.volume));
       Printf.printf
         "runtime: preprocess %.2fs, bridging %.2fs, placement %.2fs, routing %.2fs\n"
         flow.breakdown.t_preprocess flow.breakdown.t_bridging flow.breakdown.t_placement

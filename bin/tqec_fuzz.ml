@@ -30,9 +30,9 @@ let batch_seed ~seed j =
   else Int64.to_int (Rng.int64 (Rng.stream ~root:seed j)) land max_int
 
 let batches ~seed ~count =
-  let nbatches = max 1 ((count + batch_cases - 1) / batch_cases) in
+  let nbatches = Int.max 1 ((count + batch_cases - 1) / batch_cases) in
   List.init nbatches (fun j ->
-      (batch_seed ~seed j, min batch_cases (count - (j * batch_cases))))
+      (batch_seed ~seed j, Int.min batch_cases (count - (j * batch_cases))))
 
 let run seed count max_qubits max_gates prop_filter =
   let props = Props.all ~max_qubits ~max_gates in

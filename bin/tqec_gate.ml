@@ -177,10 +177,17 @@ let perf baseline_file current_file =
             let rb = float_field b key and rc = float_field c key in
             if rb > 0.0 then Printf.sprintf "%.2fx" (rc /. rb) else "n/a"
           in
+          (* The annealer's Phi, start -> best: informational, and absent
+             from baselines older than bench schema v8. *)
+          let phi =
+            match (Json.member "sa_initial_cost" c, Json.member "sa_best_cost" c) with
+            | Some (Json.Float i), Some (Json.Float b) -> Printf.sprintf "%.5f -> %.5f" i b
+            | _ -> "n/a"
+          in
           Printf.printf
-            "%-16s volume %d %s; sa_moves/s %.0f (%s vs baseline); a*_exp/s \
-             %.0f (%s vs baseline)\n"
-            name vc (status drifted before)
+            "%-16s volume %d %s; SA Phi %s; sa_moves/s %.0f (%s vs baseline); \
+             a*_exp/s %.0f (%s vs baseline)\n"
+            name vc (status drifted before) phi
             (float_field c "sa_moves_per_sec")
             (rate "sa_moves_per_sec")
             (float_field c "astar_expansions_per_sec")

@@ -56,7 +56,8 @@ let run arrangement icm =
       let regions =
         Array.map
           (fun (c : Icm.cnot) ->
-            { lo = min c.Icm.control c.Icm.target; hi = max c.Icm.control c.Icm.target })
+            { lo = Int.min c.Icm.control c.Icm.target;
+              hi = Int.max c.Icm.control c.Icm.target })
           icm.Icm.cnots
       in
       let slots = schedule conflict_1d regions in
@@ -73,7 +74,8 @@ let run arrangement icm =
         Array.map
           (fun (c : Icm.cnot) ->
             let r1, c1 = pos c.Icm.control and r2, c2 = pos c.Icm.target in
-            { rlo = min r1 r2; rhi = max r1 r2; clo = min c1 c2; chi = max c1 c2 })
+            { rlo = Int.min r1 r2; rhi = Int.max r1 r2;
+              clo = Int.min c1 c2; chi = Int.max c1 c2 })
           icm.Icm.cnots
       in
       let slots = schedule conflict_2d regions in

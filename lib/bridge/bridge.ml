@@ -393,7 +393,7 @@ let generate_nets st =
   let nets = ref [] in
   let emit loop pa pb =
     if pa <> pb then begin
-      let key = (min pa pb, max pa pb) in
+      let key = (Int.min pa pb, Int.max pa pb) in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.replace seen key ();
         let id = !net_count in
@@ -580,7 +580,7 @@ let validate r =
         if r.dead_pins.(n.pin_a) || r.dead_pins.(n.pin_b) then
           err "net %d ends on a dead pin" n.net_id
         else begin
-          let key = (min n.pin_a n.pin_b, max n.pin_a n.pin_b) in
+          let key = (Int.min n.pin_a n.pin_b, Int.max n.pin_a n.pin_b) in
           if Hashtbl.mem dup key then err "duplicate net %d" n.net_id
           else begin
             Hashtbl.replace dup key ();

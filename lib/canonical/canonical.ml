@@ -20,7 +20,7 @@ let slot = 3
 
 let of_icm icm =
   let w = Icm.num_wires icm in
-  let d = max slot (slot * Icm.num_cnots icm) in
+  let d = Int.max slot (slot * Icm.num_cnots icm) in
   let rail wire_id z =
     { defect = Primal;
       cuboid = Cuboid.of_origin_size (Point3.make 0 wire_id z) ~w:1 ~h:1 ~d;
@@ -33,8 +33,8 @@ let of_icm icm =
   in
   let loop c =
     let x = (slot * c.Icm.cnot_id) + 1 in
-    let y_lo = min c.Icm.control c.Icm.target in
-    let y_hi = max c.Icm.control c.Icm.target in
+    let y_lo = Int.min c.Icm.control c.Icm.target in
+    let y_hi = Int.max c.Icm.control c.Icm.target in
     let span = y_hi - y_lo + 1 in
     let label s = Printf.sprintf "cnot %d loop %s" c.Icm.cnot_id s in
     (* A rectangular dual ring in the y–z plane at time x, enclosing the

@@ -18,7 +18,7 @@ let qubits = function
   | Toffoli { c1; c2; target } -> [ c1; c2; target ]
   | Fredkin { control; a; b } -> [ control; a; b ]
 
-let max_qubit g = List.fold_left max 0 (qubits g)
+let max_qubit g = List.fold_left Int.max 0 (qubits g)
 
 let is_tqec_supported = function
   | Cnot _ | P _ | Pdag _ | V _ | Vdag _ | T _ | Tdag _ | Not _ | Z _ -> true

@@ -105,7 +105,7 @@ let of_string ~name text =
             let kind = kw.[0] in
             let operands = List.map lookup rest in
             let fresh idx =
-              extra_ancillas := max !extra_ancillas (idx + 1);
+              extra_ancillas := Int.max !extra_ancillas (idx + 1);
               !num_declared + idx
             in
             match kind, operands with

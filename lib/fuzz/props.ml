@@ -42,7 +42,7 @@ let salted_arbitrary ~max_qubits ~max_gates =
     (Gen.pair carb.Property.gen (Gen.int_bound 1_000_000))
 
 let semantics ~max_qubits ~max_gates =
-  let arb = Circuit_gen.arbitrary ~max_qubits:(min max_qubits 8) ~max_gates () in
+  let arb = Circuit_gen.arbitrary ~max_qubits:(Int.min max_qubits 8) ~max_gates () in
   Prop
     ( "decomposition-semantics",
       arb,
@@ -357,7 +357,7 @@ let restricted_region ~max_qubits ~max_gates =
         valid restricted && valid full
         && vr >= placement.Tqec_place.Place25d.volume
         && vf >= placement.Tqec_place.Place25d.volume
-        && 10 * max vr vf <= 13 * min vr vf )
+        && 10 * Int.max vr vf <= 13 * Int.min vr vf )
 
 let all ~max_qubits ~max_gates =
   [ semantics ~max_qubits ~max_gates;

@@ -32,12 +32,12 @@ let contains outer inner =
 
 let union a b =
   let lo =
-    Point3.make (min a.lo.Point3.x b.lo.Point3.x) (min a.lo.Point3.y b.lo.Point3.y)
-      (min a.lo.Point3.z b.lo.Point3.z)
+    Point3.make (Int.min a.lo.Point3.x b.lo.Point3.x) (Int.min a.lo.Point3.y b.lo.Point3.y)
+      (Int.min a.lo.Point3.z b.lo.Point3.z)
   in
   let hi =
-    Point3.make (max a.hi.Point3.x b.hi.Point3.x) (max a.hi.Point3.y b.hi.Point3.y)
-      (max a.hi.Point3.z b.hi.Point3.z)
+    Point3.make (Int.max a.hi.Point3.x b.hi.Point3.x) (Int.max a.hi.Point3.y b.hi.Point3.y)
+      (Int.max a.hi.Point3.z b.hi.Point3.z)
   in
   { lo; hi }
 
@@ -47,12 +47,12 @@ let inflate c n =
 
 let intersect a b =
   let lo =
-    Point3.make (max a.lo.Point3.x b.lo.Point3.x) (max a.lo.Point3.y b.lo.Point3.y)
-      (max a.lo.Point3.z b.lo.Point3.z)
+    Point3.make (Int.max a.lo.Point3.x b.lo.Point3.x) (Int.max a.lo.Point3.y b.lo.Point3.y)
+      (Int.max a.lo.Point3.z b.lo.Point3.z)
   in
   let hi =
-    Point3.make (min a.hi.Point3.x b.hi.Point3.x) (min a.hi.Point3.y b.hi.Point3.y)
-      (min a.hi.Point3.z b.hi.Point3.z)
+    Point3.make (Int.min a.hi.Point3.x b.hi.Point3.x) (Int.min a.hi.Point3.y b.hi.Point3.y)
+      (Int.min a.hi.Point3.z b.hi.Point3.z)
   in
   if lo.Point3.x < hi.Point3.x && lo.Point3.y < hi.Point3.y && lo.Point3.z < hi.Point3.z then
     Some { lo; hi }

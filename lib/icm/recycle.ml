@@ -55,7 +55,7 @@ let analyze icm =
   let track_count = ref 0 in
   let assignment = Array.make n (-1) in
   let grow () =
-    let ncap = max 8 (2 * Array.length !track_free_at) in
+    let ncap = Int.max 8 (2 * Array.length !track_free_at) in
     let arr = Array.make ncap min_int in
     Array.blit !track_free_at 0 arr 0 !track_count;
     track_free_at := arr
@@ -103,7 +103,7 @@ let analyze icm =
 let saved_rows t = t.wires - t.tracks
 
 let recycled_canonical_volume icm t =
-  let d = max 3 (3 * Icm.num_cnots icm) in
+  let d = Int.max 3 (3 * Icm.num_cnots icm) in
   t.tracks * 2 * d
 
 let validate icm t =

@@ -58,9 +58,9 @@ let rules =
        the order cannot be observed" );
     ( rule_poly,
       Syntactic,
-      "polymorphic compare/Hashtbl.hash, or a comparison operator applied to \
-       a syntactically composite operand (tuple, record, non-constant \
-       constructor): use a typed comparator" );
+      "polymorphic compare/min/max/Hashtbl.hash, or a comparison operator \
+       applied to a syntactically composite operand (tuple, record, \
+       non-constant constructor): use a typed comparator" );
     ( rule_ambient,
       Syntactic,
       "ambient nondeterminism (Random.*, Sys.time, Unix.gettimeofday, \
@@ -442,6 +442,11 @@ let check_ident st (loc : Location.t) name =
   else if String.equal name "compare" then
     emit st rule_poly loc
       "polymorphic compare; use Int.compare/String.compare/a typed comparator"
+  else if String.equal name "min" || String.equal name "max" then
+    emit st rule_poly loc
+      (name
+      ^ " is the polymorphic compare (a C call even on ints); use Int." ^ name
+      ^ ", or on floats an explicit comparison that states the NaN behaviour")
   else if String.equal name "Hashtbl.hash" || String.equal name "Hashtbl.seeded_hash"
   then emit st rule_poly loc "polymorphic Hashtbl.hash on an unconstrained type"
   else if String.equal name "Hashtbl.iter" || String.equal name "Hashtbl.fold" then begin

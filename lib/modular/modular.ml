@@ -33,7 +33,7 @@ type t = {
    number of dual segments threading it (one lattice unit per segment plus a
    unit of clearance); width 2 and height 2 are the footprint of a minimal
    primal loop pair. *)
-let wire_dims ~segments = (max 2 (segments + 1), 2, 2)
+let wire_dims ~segments = (Int.max 2 (segments + 1), 2, 2)
 
 let cross_dims = (2, 2, 2)
 let y_box_dims = (3, 3, 2)   (* volume 18 *)

@@ -165,7 +165,7 @@ let to_text s =
         let pad = String.make (2 * depth) ' ' in
         Buffer.add_string b
           (Printf.sprintf "%s%-*s %9.3fs\n" pad
-             (max 1 (32 - (2 * depth)))
+             (Int.max 1 (32 - (2 * depth)))
              (name s) (duration_s s));
         let metric fmt = Printf.ksprintf (fun line ->
             Buffer.add_string b (pad ^ "    " ^ line ^ "\n")) fmt
@@ -176,7 +176,7 @@ let to_text s =
           (fun (k, d) ->
             metric "%s: n=%d sum=%g min=%g max=%g avg=%g" k d.n d.sum d.min_v
               d.max_v
-              (d.sum /. float_of_int (max 1 d.n)))
+              (d.sum /. float_of_int (Int.max 1 d.n)))
           (dists s);
         List.iter (go (depth + 1)) (children s)
       in

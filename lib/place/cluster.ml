@@ -41,7 +41,7 @@ let dist_inj_element modular ~box ~wire =
   let bd, bw, bh = modular.Modular.modules.(box).Modular.dims in
   let wd, ww, wh = modular.Modular.modules.(wire).Modular.dims in
   let members = [ (box, Point3.zero); (wire, Point3.make (bd + internal_gap) 0 0) ] in
-  let dims = (bd + internal_gap + wd, max bw ww, max bh wh) in
+  let dims = (bd + internal_gap + wd, Int.max bw ww, Int.max bh wh) in
   (members, dims)
 
 let single_element modular ~module_ =
@@ -114,7 +114,7 @@ let build ?(primal_groups = true) ?(max_group_size = 4) modular =
       let lead = g.Icm.lead_wire in
       let ld, lw, _ = modular.Modular.modules.(lead).Modular.dims in
       let max_elem_d =
-        List.fold_left (fun acc (_, (d, _, _)) -> max acc d) 0 elements
+        List.fold_left (fun acc (_, (d, _, _)) -> Int.max acc d) 0 elements
       in
       let right_end = ld + internal_gap + max_elem_d in
       let members = ref [ (lead, Point3.zero) ] in
@@ -124,9 +124,9 @@ let build ?(primal_groups = true) ?(max_group_size = 4) modular =
           let x = right_end - ed in
           members := shift_members elem_members x !y @ !members;
           y := !y + ew + internal_gap;
-          total_w := max !total_w (!y - internal_gap))
+          total_w := Int.max !total_w (!y - internal_gap))
         elements;
-      let dims = (right_end, max lw !total_w, 2) in
+      let dims = (right_end, Int.max lw !total_w, 2) in
       let id = add_cluster (Tdep { gadget = g.Icm.gadget_id }) (List.rev !members) dims in
       gadget_cluster.(g.Icm.gadget_id) <- id)
     icm.Icm.gadgets;
@@ -148,7 +148,9 @@ let build ?(primal_groups = true) ?(max_group_size = 4) modular =
             List.fold_left
               (fun (members, x, w_acc) m ->
                 let md, mw, _ = modular.Modular.modules.(m).Modular.dims in
-                ((m, Point3.make x 0 0) :: members, x + md + internal_gap, max w_acc mw))
+                ( (m, Point3.make x 0 0) :: members,
+                  x + md + internal_gap,
+                  Int.max w_acc mw ))
               ([], 0, 0) group
           in
           ignore
@@ -201,7 +203,7 @@ let equalize_tsl t =
             List.fold_left
               (fun (d, w, h) id ->
                 let cd, cw, ch = t.clusters.(id).cdims in
-                (max d cd, max w cw, max h ch))
+                (Int.max d cd, Int.max w cw, Int.max h ch))
               (0, 0, 0) ids
           in
           List.iter (fun id -> t.clusters.(id).cdims <- dims) ids)

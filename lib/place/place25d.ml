@@ -107,10 +107,16 @@ let cluster_positions cl s packs =
       let p : Bstar.packing = packs.(t) in
       Point3.make p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z t))
 
+(* A monomorphic loop: the cost calls this on every move, and folding the
+   polymorphic [max] over ints would call the generic C compare per tier. *)
 let overall_dims packs =
-  let d = Array.fold_left (fun acc (p : Bstar.packing) -> max acc p.Bstar.span_x) 0 packs in
-  let w = Array.fold_left (fun acc (p : Bstar.packing) -> max acc p.Bstar.span_y) 0 packs in
-  let ntiers = Array.length packs in
+  let d = ref 0 and w = ref 0 in
+  for t = 0 to Array.length packs - 1 do
+    let p : Bstar.packing = packs.(t) in
+    d := Int.max !d p.Bstar.span_x;
+    w := Int.max !w p.Bstar.span_y
+  done;
+  let d = !d and w = !w and ntiers = Array.length packs in
   let h = (ntiers * (2 + z_gap)) - z_gap in
   (d, w, h)
 
@@ -152,8 +158,8 @@ let wirelength_of cl cluster_pos nets =
    groups with a member on a touched tier, diffs the positions of the
    clusters that can have moved (the slot rows of touched tiers, walked by
    index, and the clusters whose slot changed onto an untouched tier) and
-   re-measures the nets incident to clusters that did move (via
-   [Cluster.net_index]). The full
+   re-measures the nets incident to clusters that did move (one int record
+   per net, the incidence in CSR form). The full
    O(all tiers + all nets) evaluation survives as [full_cost], the
    reference [check_incremental_cost] audits the incremental one against. *)
 (* ------------------------------------------------------------------ *)
@@ -199,49 +205,61 @@ type eval = {
   journal : journal;
 }
 
-(* Immutable per-anneal tables. *)
+(* Immutable per-anneal tables. Net [i] is one record of [net_stride] ints
+   at [net_rec.(net_stride * i)]: the clusters of pin a and pin b, then
+   pin a's offset within its cluster (x, y, z), then pin b's. The nets
+   incident to cluster [c] are [net_ids.(net_start.(c) ..
+   net_start.(c + 1) - 1)], in [Cluster.net_index]'s order. *)
 type anneal_ctx = {
   cl : Cluster.t;
-  na_cluster : int array;   (* net index -> cluster of pin_a *)
-  nb_cluster : int array;
-  na_rx : int array;        (* net index -> pin_a offset within its cluster *)
-  na_ry : int array;
-  na_rz : int array;
-  nb_rx : int array;
-  nb_ry : int array;
-  nb_rz : int array;
-  index : int array array;  (* cluster id -> incident net indices *)
+  nnets : int;
+  net_rec : int array;
+  net_start : int array;
+  net_ids : int array;
   tsl : int array array;    (* the TSL groups, members in required order *)
 }
 
+let net_stride = 8
+
 let make_ctx cl nets =
   let pins = cl.Cluster.modular.Modular.pins in
-  let nets_a = Array.of_list nets in
-  let cluster_of pin = cl.Cluster.module_cluster.(pins.(pin).Modular.owner) in
-  let rel_of pin =
-    Point3.add cl.Cluster.module_offset.(pins.(pin).Modular.owner)
-      pins.(pin).Modular.offset
-  in
-  let rel pin_of axis = Array.map (fun nt -> axis (rel_of (pin_of nt))) nets_a in
-  let pin_a nt = nt.Bridge.pin_a and pin_b nt = nt.Bridge.pin_b in
-  let px (p : Point3.t) = p.Point3.x
-  and py (p : Point3.t) = p.Point3.y
-  and pz (p : Point3.t) = p.Point3.z in
+  let nnets = List.length nets in
+  let net_rec = Array.make (net_stride * nnets) 0 in
+  List.iteri
+    (fun i nt ->
+      (* Pin [k] (0 = a, 1 = b): its cluster at field [k], its offset at
+         fields [2 + 3k ..]. *)
+      let put k pin =
+        let m = pins.(pin).Modular.owner in
+        let rel = Point3.add cl.Cluster.module_offset.(m) pins.(pin).Modular.offset in
+        let o = net_stride * i in
+        net_rec.(o + k) <- cl.Cluster.module_cluster.(m);
+        net_rec.(o + 2 + (3 * k)) <- rel.Point3.x;
+        net_rec.(o + 3 + (3 * k)) <- rel.Point3.y;
+        net_rec.(o + 4 + (3 * k)) <- rel.Point3.z
+      in
+      put 0 nt.Bridge.pin_a;
+      put 1 nt.Bridge.pin_b)
+    nets;
+  let index = Cluster.net_index cl nets in
+  let net_start = Array.make (Array.length index + 1) 0 in
+  Array.iteri (fun c ids -> net_start.(c + 1) <- net_start.(c) + Array.length ids) index;
   { cl;
-    na_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_a) nets_a;
-    nb_cluster = Array.map (fun nt -> cluster_of nt.Bridge.pin_b) nets_a;
-    na_rx = rel pin_a px;
-    na_ry = rel pin_a py;
-    na_rz = rel pin_a pz;
-    nb_rx = rel pin_b px;
-    nb_ry = rel pin_b py;
-    nb_rz = rel pin_b pz;
-    index = Cluster.net_index cl nets;
+    nnets;
+    net_rec;
+    net_start;
+    net_ids = Array.concat (Array.to_list index);
     tsl = Array.map Array.of_list cl.Cluster.tsl }
 
+(* [update_position] and the net re-measure write their journal slot
+   before they know whether to keep it. A move calls [update_position] at
+   most once per cluster, so its slot index stays below [ncl]. A net
+   incident to two moved clusters is visited twice, so a move that keeps
+   all [nnets] nets can still write one slot past them: the net arrays have
+   that spare entry. *)
 let make_journal ctx ntiers =
-  let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
-  let group = Array.fold_left (fun acc g -> max acc (Array.length g)) 0 ctx.tsl in
+  let ncl = Cluster.num_clusters ctx.cl and nnets = ctx.nnets in
+  let group = Array.fold_left (fun acc g -> Int.max acc (Array.length g)) 0 ctx.tsl in
   { gen = 0;
     tier_stamp = Array.make ntiers 0;
     slot_stamp = Array.make ncl 0;
@@ -258,8 +276,8 @@ let make_journal ctx ntiers =
     moved_y = Array.make ncl 0;
     moved_z = Array.make ncl 0;
     n_nets = 0;
-    net_i = Array.make nnets 0;
-    net_old = Array.make nnets 0;
+    net_i = Array.make (nnets + 1) 0;
+    net_old = Array.make (nnets + 1) 0;
     old_wirelength = 0;
     key_x = Array.make group 0;
     key_t = Array.make group 0;
@@ -392,29 +410,40 @@ let perturb_state ctx rng e =
         Bstar.set_block_dims tree2 i2 (cluster_dxdy ctx.cl.Cluster.clusters.(c1))
       end
 
+(* Branch-free helpers for the re-measure path, whose outcomes are data
+   dependent and so would be mispredicted as branches. [sign_abs x] is
+   [abs x] through the sign mask [x asr 62] (all ones when negative), and is
+   [min_int] at [min_int] like [abs]. [nonzero x] is 1 unless [x = 0]: a
+   non-zero [x] or its negation has the sign bit set. *)
+let[@inline] sign_abs x =
+  let m = x asr (Sys.int_size - 1) in
+  (x lxor m) - m
+
+let[@inline] nonzero x = (x lor -x) lsr (Sys.int_size - 1)
+
 (* Per-axis expansion of manhattan (add pa ra) (add pb rb): identical
    arithmetic without materializing the two intermediate points, since this
    runs once per net per perturbation inside the annealer's inner loop. *)
 let[@tqec.hot] measure_net ctx e i =
-  let a = ctx.na_cluster.(i) and b = ctx.nb_cluster.(i) in
-  abs (e.cx.(a) + ctx.na_rx.(i) - (e.cx.(b) + ctx.nb_rx.(i)))
-  + abs (e.cy.(a) + ctx.na_ry.(i) - (e.cy.(b) + ctx.nb_ry.(i)))
-  + abs (e.cz.(a) + ctx.na_rz.(i) - (e.cz.(b) + ctx.nb_rz.(i)))
+  let r = ctx.net_rec and o = net_stride * i in
+  let a = r.(o) and b = r.(o + 1) in
+  sign_abs (e.cx.(a) + r.(o + 2) - (e.cx.(b) + r.(o + 5)))
+  + sign_abs (e.cy.(a) + r.(o + 3) - (e.cy.(b) + r.(o + 6)))
+  + sign_abs (e.cz.(a) + r.(o + 4) - (e.cz.(b) + r.(o + 7)))
 
-(* Move cluster [c] to (x, y, z) if that is not where it is, journaling
-   its old position. *)
+(* Move cluster [c] to (x, y, z). The old position always goes into the
+   next journal slot, and the slot is kept only if the position changed. *)
 let[@tqec.hot] update_position e c x y z =
-  if x <> e.cx.(c) || y <> e.cy.(c) || z <> e.cz.(c) then begin
-    let j = e.journal in
-    j.moved_c.(j.n_moved) <- c;
-    j.moved_x.(j.n_moved) <- e.cx.(c);
-    j.moved_y.(j.n_moved) <- e.cy.(c);
-    j.moved_z.(j.n_moved) <- e.cz.(c);
-    j.n_moved <- j.n_moved + 1;
-    e.cx.(c) <- x;
-    e.cy.(c) <- y;
-    e.cz.(c) <- z
-  end
+  let j = e.journal in
+  let n = j.n_moved and ox = e.cx.(c) and oy = e.cy.(c) and oz = e.cz.(c) in
+  j.moved_c.(n) <- c;
+  j.moved_x.(n) <- ox;
+  j.moved_y.(n) <- oy;
+  j.moved_z.(n) <- oz;
+  j.n_moved <- n + nonzero ((x lxor ox) lor (y lxor oy) lor (z lxor oz));
+  e.cx.(c) <- x;
+  e.cy.(c) <- y;
+  e.cz.(c) <- z
 
 (* Only clusters on a touched tier (re-packed) or with a changed slot can
    have moved. A touched tier's slot row is walked by index against its
@@ -439,19 +468,22 @@ let[@tqec.hot] sync_positions ctx e =
       update_position e c p.Bstar.xs.(idx) p.Bstar.ys.(idx) (tier_z t)
     end
   done;
+  (* A net incident to two moved clusters is measured twice; the second
+     time it measures its new length again, changes nothing and keeps no
+     journal slot (its stamp is already this move's). *)
+  let start = ctx.net_start and ids = ctx.net_ids in
   for k = 0 to j.n_moved - 1 do
-    let nets = ctx.index.(j.moved_c.(k)) in
-    for m = 0 to Array.length nets - 1 do
-      let i = nets.(m) in
-      if j.net_stamp.(i) <> j.gen then begin
-        j.net_stamp.(i) <- j.gen;
-        j.net_i.(j.n_nets) <- i;
-        j.net_old.(j.n_nets) <- e.net_len.(i);
-        j.n_nets <- j.n_nets + 1;
-        let len = measure_net ctx e i in
-        e.wirelength <- e.wirelength + len - e.net_len.(i);
-        e.net_len.(i) <- len
-      end
+    let c = j.moved_c.(k) in
+    for m = start.(c) to start.(c + 1) - 1 do
+      let i = ids.(m) and n = j.n_nets in
+      let old = e.net_len.(i) in
+      j.net_i.(n) <- i;
+      j.net_old.(n) <- old;
+      j.n_nets <- n + nonzero (j.net_stamp.(i) lxor j.gen);
+      j.net_stamp.(i) <- j.gen;
+      let len = measure_net ctx e i in
+      e.wirelength <- e.wirelength + len - old;
+      e.net_len.(i) <- len
     done
   done
 
@@ -506,7 +538,7 @@ let perturb ctx rng e =
    counted as touched, then measures every position and net. *)
 let eval_of_state ctx s =
   let packs = pack_all s.trees in
-  let ncl = Cluster.num_clusters ctx.cl and nnets = Array.length ctx.na_cluster in
+  let ncl = Cluster.num_clusters ctx.cl and nnets = ctx.nnets in
   let e =
     { state = s;
       spare = Array.map Bstar.copy s.trees;
@@ -580,13 +612,13 @@ let default_tier_count cl =
       0 cl.Cluster.clusters
   in
   let max_d =
-    Array.fold_left (fun acc c -> let d, _, _ = c.Cluster.cdims in max acc d) 1
+    Array.fold_left (fun acc c -> let d, _, _ = c.Cluster.cdims in Int.max acc d) 1
       cl.Cluster.clusters
   in
   let pitch = float_of_int (2 + z_gap) in
   let n = Cluster.num_clusters cl in
   let guess = int_of_float (sqrt (float_of_int area /. (pitch *. float_of_int max_d))) in
-  max 1 (min n (max guess 1))
+  Int.max 1 (Int.min n (Int.max guess 1))
 
 (* The annealer bundle: everything [Sa.run] needs over [eval] solutions.
    Shared between [place], [sa_eval_bench] and [check_incremental_cost] so
@@ -604,15 +636,15 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
   Cluster.equalize_tsl cl;
   let ntiers =
     match config.tiers with
-    | Some t -> max 1 (min t (Cluster.num_clusters cl))
+    | Some t -> Int.max 1 (Int.min t (Cluster.num_clusters cl))
     | None -> default_tier_count cl
   in
   let ctx = make_ctx cl nets in
   let init = eval_of_state ctx (initial_state cl ~ntiers) in
   (* Normalization constants from the initial solution. *)
   let d0, w0, h0 = overall_dims init.packs in
-  let v_norm = float_of_int (max 1 (d0 * w0 * h0)) in
-  let l_norm = float_of_int (max 1 init.wirelength) in
+  let v_norm = float_of_int (Int.max 1 (d0 * w0 * h0)) in
+  let l_norm = float_of_int (Int.max 1 init.wirelength) in
   let combine ~volume_term ~wirelength_term ~aspect_term =
     volume_term +. wirelength_term +. aspect_term
   in
@@ -622,7 +654,7 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
     let l = float_of_int e.wirelength in
     (* Tier-plane aspect: keeping width and depth comparable avoids the
        degenerate snake floorplans that pack well but route terribly. *)
-    let r = float_of_int w /. float_of_int (max 1 d) in
+    let r = float_of_int w /. float_of_int (Int.max 1 d) in
     let volume_term = alpha *. v /. v_norm in
     let wirelength_term = beta *. l /. l_norm in
     let aspect_term = gamma *. ((r -. aspect_target) ** 2.0) in
@@ -642,7 +674,7 @@ let make_annealer ?(trace = Trace.noop) config cl nets =
     let l =
       float_of_int (wirelength_of cl (cluster_positions cl e.state packs) nets)
     in
-    let r = float_of_int w /. float_of_int (max 1 d) in
+    let r = float_of_int w /. float_of_int (Int.max 1 d) in
     combine
       ~volume_term:(alpha *. v /. v_norm)
       ~wirelength_term:(beta *. l /. l_norm)

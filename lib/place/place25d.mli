@@ -78,6 +78,15 @@ val check_incremental_cost :
     restore the snapshot. The tier-1 suite runs it on [4gt10-v1_81] and the
     fuzzer on every generated circuit. *)
 
+val sign_abs : int -> int
+(** [sign_abs x] is [abs x] without a branch, through the sign mask
+    [x asr (Sys.int_size - 1)]; like [abs], it is [min_int] at [min_int].
+    The annealer measures net lengths with it. *)
+
+val nonzero : int -> int
+(** [nonzero x] is [1] if [x <> 0] and [0] otherwise, without a branch.
+    The annealer advances its undo journal by it. *)
+
 val pin_position : placement -> int -> Tqec_geom.Point3.t
 (** Absolute position of a pin after placement. *)
 

@@ -24,7 +24,7 @@ let run ?(trace = Trace.noop) ~rng ~init ~copy ~blit ~cost ~perturb ~undo params
   let best = copy current in
   let best_cost = ref !current_cost in
   let accepted = ref 0 and rejected = ref 0 and improved = ref 0 in
-  let n = max 1 params.iterations in
+  let n = Int.max 1 params.iterations in
   (* Geometric cooling: T_i = T0 * (T1/T0)^(i/n). *)
   let ratio = params.end_temp /. params.start_temp in
   for i = 0 to n - 1 do

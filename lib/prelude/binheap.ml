@@ -11,7 +11,7 @@ let clear t = t.len <- 0
 let grow t entry =
   let cap = Array.length t.data in
   if t.len = cap then begin
-    let ncap = max 8 (2 * cap) in
+    let ncap = Int.max 8 (2 * cap) in
     let ndata = Array.make ncap entry in
     Array.blit t.data 0 ndata 0 t.len;
     t.data <- ndata

@@ -49,7 +49,7 @@ let[@tqec.allow
       absent once the queue reaches steady-state capacity"] ensure_key t key =
   let cap = Array.length t.buckets in
   if key >= cap then begin
-    let ncap = max (key + 1) (max 16 (2 * cap)) in
+    let ncap = Int.max (key + 1) (Int.max 16 (2 * cap)) in
     let nbuckets =
       Array.init ncap (fun i -> if i < cap then t.buckets.(i) else fresh_bucket ())
     in
@@ -68,7 +68,7 @@ let[@tqec.hot] push t ~key v =
   let cap = Array.length b.data in
   if b.len = cap then
     begin
-      let ndata = Array.make (max 8 (2 * cap)) 0 in
+      let ndata = Array.make (Int.max 8 (2 * cap)) 0 in
       Array.blit b.data 0 ndata 0 b.len;
       b.data <- ndata
     end [@tqec.allow

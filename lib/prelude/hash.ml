@@ -102,7 +102,7 @@ module Sha256 = struct
     let pos = ref 0 in
     t.length <- t.length + len;
     while !pos < len do
-      let take = min (64 - t.used) (len - !pos) in
+      let take = Int.min (64 - t.used) (len - !pos) in
       Bytes.blit_string s !pos t.block t.used take;
       t.used <- t.used + take;
       pos := !pos + take;

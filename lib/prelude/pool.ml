@@ -81,7 +81,7 @@ let worker_loop pool =
   done
 
 let create ~domains () =
-  let n = max 1 (min domains max_domains) in
+  let n = Int.max 1 (Int.min domains max_domains) in
   let pool =
     { n_domains = n;
       mutex = Mutex.create ();
@@ -140,13 +140,13 @@ let run_job pool job =
 
 let parallel_init pool ?(chunk = 1) n f =
   if n < 0 then invalid_arg "Taskpool.parallel_init: negative size";
-  let chunk = max 1 chunk in
+  let chunk = Int.max 1 chunk in
   let res = Array.make n None in
   let nchunks = (n + chunk - 1) / chunk in
   let job =
     { run =
         (fun c ->
-          let lo = c * chunk and hi = min n ((c + 1) * chunk) in
+          let lo = c * chunk and hi = Int.min n ((c + 1) * chunk) in
           for i = lo to hi - 1 do
             res.(i) <- Some (f i)
           done);
@@ -181,11 +181,11 @@ let parse_env () =
   | None -> 1
   | Some v -> (
       match int_of_string_opt v with
-      | Some n when n >= 1 -> min n max_domains
+      | Some n when n >= 1 -> Int.min n max_domains
       | Some _ | None -> 1)
 
 let set_default_domains n =
-  let n = max 1 (min n max_domains) in
+  let n = Int.max 1 (Int.min n max_domains) in
   Mutex.lock global_mutex;
   default_domains_ref := Some n;
   let stale =

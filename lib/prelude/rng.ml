@@ -1,23 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: the get/set primitives and
+   the Int64 arithmetic between them compile to plain machine words, so a
+   draw that ends in an int, float or bool allocates nothing. A mutable
+   [int64] field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let[@inline] get t = Bytes.get_int64_ne t 0
+let[@inline] set t s = Bytes.set_int64_ne t 0 s
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+let copy t = Bytes.copy t
 
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
-let split t =
-  let s = int64 t in
-  { state = s }
+let int64 t = next t
+
+let split t = of_state (next t)
 
 (* Indexed streams for parallel tasks: mix the root into a state, then place
    stream [i] a gamma-multiple away and mix again, so neighbouring indices
@@ -27,19 +40,19 @@ let stream ~root i =
   let s =
     Int64.add (mix (Int64.of_int root)) (Int64.mul golden_gamma (Int64.of_int i))
   in
-  { state = mix s }
+  of_state (mix s)
 
 let int t bound =
   assert (bound > 0);
-  let v = Int64.to_int (int64 t) land max_int in
+  let v = Int64.to_int (next t) land max_int in
   v mod bound
 
 let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   (* 53 significant bits, as in the standard doubles-from-uint64 recipe. *)
   v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let pick t arr =
   assert (Array.length arr > 0);

@@ -16,11 +16,13 @@ let window flow =
   let lo = ref (Point3.make 0 0 0) and hi = ref (Point3.make 1 1 1) in
   let extend p =
     lo :=
-      Point3.make (min !lo.Point3.x p.Point3.x) (min !lo.Point3.y p.Point3.y)
-        (min !lo.Point3.z p.Point3.z);
+      Point3.make (Int.min !lo.Point3.x p.Point3.x) (Int.min !lo.Point3.y p.Point3.y)
+        (Int.min !lo.Point3.z p.Point3.z);
     hi :=
-      Point3.make (max !hi.Point3.x (p.Point3.x + 1)) (max !hi.Point3.y (p.Point3.y + 1))
-        (max !hi.Point3.z (p.Point3.z + 1))
+      Point3.make
+        (Int.max !hi.Point3.x (p.Point3.x + 1))
+        (Int.max !hi.Point3.y (p.Point3.y + 1))
+        (Int.max !hi.Point3.z (p.Point3.z + 1))
   in
   Array.iter
     (fun (md : Modular.module_) ->

@@ -19,7 +19,8 @@ let render ?align ~header rows =
   List.iter
     (fun row ->
       List.iteri
-        (fun i cell -> if i < ncols then widths.(i) <- max widths.(i) (String.length cell))
+        (fun i cell ->
+          if i < ncols then widths.(i) <- Int.max widths.(i) (String.length cell))
         row)
     rows;
   let aligns = Array.of_list aligns in

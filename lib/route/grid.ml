@@ -36,9 +36,9 @@ let unblock t p =
 
 let block_box t box =
   let lo = box.Cuboid.lo and hi = box.Cuboid.hi in
-  for z = max lo.Point3.z t.lo.Point3.z to min hi.Point3.z t.hi.Point3.z - 1 do
-    for y = max lo.Point3.y t.lo.Point3.y to min hi.Point3.y t.hi.Point3.y - 1 do
-      for x = max lo.Point3.x t.lo.Point3.x to min hi.Point3.x t.hi.Point3.x - 1 do
+  for z = Int.max lo.Point3.z t.lo.Point3.z to Int.min hi.Point3.z t.hi.Point3.z - 1 do
+    for y = Int.max lo.Point3.y t.lo.Point3.y to Int.min hi.Point3.y t.hi.Point3.y - 1 do
+      for x = Int.max lo.Point3.x t.lo.Point3.x to Int.min hi.Point3.x t.hi.Point3.x - 1 do
         Bytes.set t.cells (index t (Point3.make x y z)) '\001'
       done
     done

@@ -204,7 +204,7 @@ let note_occupied ws c =
   if Bytes.get ws.listed c = '\000' then begin
     Bytes.set ws.listed c '\001';
     if ws.n_occupied = Array.length ws.occupied then begin
-      let grown = Array.make (max 64 (2 * ws.n_occupied)) 0 in
+      let grown = Array.make (Int.max 64 (2 * ws.n_occupied)) 0 in
       Array.blit ws.occupied 0 grown 0 ws.n_occupied;
       ws.occupied <- grown
     end;
@@ -294,7 +294,7 @@ let audit_cost_field ws =
 let region_min_surcharge ws ~nx ~nxy ~rx0 ~ry0 ~rz0 ~rx1 ~ry1 ~rz1 =
   let minc = ref max_int in
   let rnz = rz1 - rz0 in
-  let zf = min (rz1 - 1) (max rz0 (-(Grid.origin ws.grid).Point3.z)) in
+  let zf = Int.min (rz1 - 1) (Int.max rz0 (-(Grid.origin ws.grid).Point3.z)) in
   (try
      for i = 0 to rnz - 1 do
        let z = rz0 + ((zf - rz0 + i) mod rnz) in
@@ -318,12 +318,12 @@ let clip_region grid region =
   let nx, ny, nz = Grid.extents grid in
   let o = Grid.origin grid in
   let rlo = region.Cuboid.lo and rhi = region.Cuboid.hi in
-  let rx0 = max 0 (rlo.Point3.x - o.Point3.x)
-  and ry0 = max 0 (rlo.Point3.y - o.Point3.y)
-  and rz0 = max 0 (rlo.Point3.z - o.Point3.z)
-  and rx1 = min nx (rhi.Point3.x - o.Point3.x)
-  and ry1 = min ny (rhi.Point3.y - o.Point3.y)
-  and rz1 = min nz (rhi.Point3.z - o.Point3.z) in
+  let rx0 = Int.max 0 (rlo.Point3.x - o.Point3.x)
+  and ry0 = Int.max 0 (rlo.Point3.y - o.Point3.y)
+  and rz0 = Int.max 0 (rlo.Point3.z - o.Point3.z)
+  and rx1 = Int.min nx (rhi.Point3.x - o.Point3.x)
+  and ry1 = Int.min ny (rhi.Point3.y - o.Point3.y)
+  and rz1 = Int.min nz (rhi.Point3.z - o.Point3.z) in
   if rx0 >= rx1 || ry0 >= ry1 || rz0 >= rz1 then None
   else Some (rx0, ry0, rz0, rx1, ry1, rz1)
 
@@ -1267,7 +1267,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       Option.map
         (fun box ->
           Cuboid.inflate box
-            (config.region_margin + (region_expand * min 3 s)))
+            (config.region_margin + (region_expand * Int.min 3 s)))
         (Hashtbl.find_opt conflict_box n.Bridge.net_id)
   in
   let iter = ref 0 in
@@ -1285,8 +1285,12 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     in
     let attempted = List.length !pending in
     let exp_before = ws.n_expansions in
-    (* Present-sharing penalty doubles each pass (PathFinder schedule). *)
-    let present_penalty = min 24.0 (2.0 ** float_of_int (!iter + 1)) in
+    (* Present-sharing penalty doubles each pass (PathFinder schedule), up
+       to 24. *)
+    let present_penalty =
+      let doubled = 2.0 ** float_of_int (!iter + 1) in
+      if 24.0 <= doubled then 24.0 else doubled
+    in
     (* Adaptive per-net expansion budget, tightening with the penalty
        schedule — but only for nets that burned a full budget without
        finding a path last pass. A healthy net keeps the full budget:
@@ -1302,7 +1306,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     let pass_budget =
       if !iter <= 3 then max_expansions
       else
-        max (max_expansions / 16)
+        Int.max (max_expansions / 16)
           (max_expansions lsr (!iter - 3))
     in
     let last_rite (n : Bridge.net) =
@@ -1318,7 +1322,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
            grid at a streak of 2 or more gets the decaying [pass_budget],
            and the give-up rule below parks it if that truncated search
            fails. *)
-        max max_expansions (2 * grid_cells)
+        Int.max max_expansions (2 * grid_cells)
       else if get_fail_streak n.Bridge.net_id >= 1 then pass_budget
       else max_expansions
     in
@@ -1338,7 +1342,7 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
       (* Geometric region growth: a failed search over a region is paid
          in full, so take big steps toward the whole grid. *)
       Hashtbl.replace extra n.Bridge.net_id
-        (max region_expand (2 * get_extra n));
+        (Int.max region_expand (2 * get_extra n));
       let s = get_fail_streak n.Bridge.net_id + 1 in
       Hashtbl.replace fail_streak n.Bridge.net_id s;
       (* Give-up rule: a net whose failed search covered the whole grid is
@@ -1466,12 +1470,12 @@ let route ?(trace = Trace.noop) ?pool:_ ?restrict_regions ?(kernel = Dial)
     (fun rn ->
       List.iter
         (fun (p : Point3.t) ->
-          x0 := min !x0 p.x;
-          y0 := min !y0 p.y;
-          z0 := min !z0 p.z;
-          x1 := max !x1 p.x;
-          y1 := max !y1 p.y;
-          z1 := max !z1 p.z)
+          x0 := Int.min !x0 p.x;
+          y0 := Int.min !y0 p.y;
+          z0 := Int.min !z0 p.z;
+          x1 := Int.max !x1 p.x;
+          y1 := Int.max !y1 p.y;
+          z1 := Int.max !z1 p.z)
         rn.path)
     routed;
   if !x0 <= !x1 then

@@ -176,7 +176,7 @@ let check_net_connectivity input =
   let num_pins = Array.length pins in
   (* Friend closure: nets transitively sharing a pin collapse into one
      class; a net may legally terminate on any cell routed for its class. *)
-  let uf = Union_find.create (max 1 num_pins) in
+  let uf = Union_find.create (Int.max 1 num_pins) in
   List.iter
     (fun (n : Bridge.net) ->
       ignore (Union_find.union uf n.Bridge.pin_a n.Bridge.pin_b))
@@ -250,7 +250,7 @@ let check_time_ordering input =
   let min_x c =
     List.fold_left
       (fun acc (m, _) ->
-        min acc (Place25d.module_box pl m).Cuboid.lo.Point3.x)
+        Int.min acc (Place25d.module_box pl m).Cuboid.lo.Point3.x)
       max_int cl.Cluster.clusters.(c).Cluster.members
   in
   let bad = ref None in
@@ -277,7 +277,7 @@ let check_bridge input =
   match input.bridge with
   | None ->
       (* Naive mode emits exactly one net per penetration of every loop. *)
-      let counts = Array.make (max 1 num_loops) 0 in
+      let counts = Array.make (Int.max 1 num_loops) 0 in
       List.iter
         (fun (n : Bridge.net) -> counts.(n.Bridge.loop) <- counts.(n.Bridge.loop) + 1)
         input.nets;

@@ -59,6 +59,18 @@ let test_poly_compare () =
   check_rules "empty list ok" [] "let f a = a = []";
   check_rules "bare variables ok" [] "let f a b = a < b"
 
+let test_poly_min_max () =
+  check_rules "bare max" [ "poly-compare" ] "let f a b = max a b";
+  check_rules "bare min as argument" [ "poly-compare" ]
+    "let f l = List.fold_left min max_int l";
+  check_rules "typed min and max ok" [] "let f a b = Int.max (Int.min a b) 0";
+  check_rules "explicit float comparison ok" []
+    "let f a b = if a >= b then a else (b : float)";
+  check_rules "allowed max" []
+    "let f a b = (max a b [@tqec.allow \"poly-compare: keeps Stdlib's NaN order\"])";
+  check_rules "Stdlib.max is the same function" [ "poly-compare" ]
+    "let f a b = Stdlib.max a b"
+
 let test_float_lit_eq () =
   check_rules "equality against float literal" [ "float-lit-eq" ]
     "let f x = x = 1.0";
@@ -564,6 +576,7 @@ let suites =
         Alcotest.test_case "hashtbl sorted allowance" `Quick
           test_hashtbl_sorted_allowance;
         Alcotest.test_case "poly compare" `Quick test_poly_compare;
+        Alcotest.test_case "poly min and max" `Quick test_poly_min_max;
         Alcotest.test_case "float literal equality" `Quick test_float_lit_eq;
         Alcotest.test_case "ambient effects" `Quick test_ambient_effect;
         Alcotest.test_case "exit scope" `Quick test_exit_scope;

@@ -343,6 +343,72 @@ let check_incremental_cost_on name () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The branch-free helpers of the net re-measure against the branching
+   definitions, at zero, the units and the ends of the int range. *)
+let test_sign_mask_helpers () =
+  List.iter
+    (fun x ->
+      let at = Printf.sprintf " %d" x in
+      Alcotest.(check int) ("sign_abs" ^ at) (Stdlib.abs x) (Place25d.sign_abs x);
+      Alcotest.(check int) ("nonzero" ^ at) (if x <> 0 then 1 else 0) (Place25d.nonzero x))
+    [ 0; 1; -1; 2; -2; max_int; min_int; min_int + 1; max_int - 1 ]
+
+(* Two clusters on one tier, with two nets between them: an intra-tier swap
+   moves both clusters, so the move re-measures every net and visits the
+   two shared nets twice. The journal then writes one net slot past the
+   nets it keeps, into its spare entry. *)
+let test_move_remeasures_every_net () =
+  let gates =
+    [ Gate.Cnot { control = 0; target = 1 }; Gate.Cnot { control = 1; target = 0 } ]
+  in
+  let icm = Tqec_icm.Icm.of_circuit (Circuit.make ~name:"t" ~num_qubits:2 gates) in
+  let m = Tqec_modular.Modular.of_icm icm in
+  let nets = (Tqec_bridge.Bridge.run m).Tqec_bridge.Bridge.nets in
+  let cl = Cluster.build m in
+  Alcotest.(check int) "two clusters" 2 (Cluster.num_clusters cl);
+  let index = Cluster.net_index cl nets in
+  let shared =
+    Array.fold_left (fun acc ids -> acc + Array.length ids) 0 index - List.length nets
+  in
+  Alcotest.(check bool) "some net joins both clusters" true (shared > 0);
+  match
+    Place25d.check_incremental_cost ~iterations:500
+      { Place25d.default_config with Place25d.tiers = Some 1 }
+      cl nets
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* Minor words a move allocates, over the moves of a longer anneal of the
+   pinned 4gt10-v1_81 instance: the difference between 4000 and 2000 moves
+   cancels the set-up and the final placement. It measures 11.56 words.
+   The RNG draws, re-pack, re-measure and undo allocate nothing; what is
+   left is the (d, w) pair an inter-tier swap hands to
+   [Bstar.set_block_dims], the cost's (d, w, h) tuple and boxed float
+   result, and [Sa.run]'s boxed acceptance draw. *)
+let test_place_words_per_move () =
+  let module Flow = Tqec_core.Flow in
+  let noop = Tqec_obs.Trace.noop in
+  let circuit =
+    Benchmarks.generate ~seed:1000 (Option.get (Benchmarks.find "4gt10-v1_81"))
+  in
+  let modular = (Flow.Preprocess.run ~trace:noop circuit).Flow.Preprocess.modular in
+  let nets =
+    (Flow.Bridging.run ~trace:noop { Flow.Bridging.bridging = true; modular })
+      .Flow.Bridging.nets
+  in
+  let cl = Cluster.build modular in
+  let words iterations =
+    let config =
+      { Place25d.default_config with sa = { Sa.default_params with Sa.iterations } }
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Place25d.place config cl nets);
+    Gc.minor_words () -. w0
+  in
+  let per = (words 4000 -. words 2000) /. 2000.0 in
+  if per > 12.0 then Alcotest.failf "%.2f minor words per SA move" per
+
 let prop_place_valid_on_random_circuits =
   QCheck.Test.make ~name:"placement invariants on random circuits" ~count:10
     QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (int_bound 4))
@@ -397,4 +463,8 @@ let suites =
            many tiers. *)
         Alcotest.test_case "incremental cost on 4gt4" `Quick
           (check_incremental_cost_on "4gt4-v0_73");
+        Alcotest.test_case "sign-mask helpers" `Quick test_sign_mask_helpers;
+        Alcotest.test_case "move re-measures every net" `Quick
+          test_move_remeasures_every_net;
+        Alcotest.test_case "words per move" `Quick test_place_words_per_move;
         QCheck_alcotest.to_alcotest prop_place_valid_on_random_circuits ] ) ]

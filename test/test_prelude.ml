@@ -51,6 +51,51 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The first draws, pinned. [int64] against the published SplitMix64
+   vectors for seed 1234567; the derived draws against values recorded
+   before the state was unboxed. The benchmark corpora are generated from
+   these draws, so any change to them changes every generated circuit. *)
+let test_rng_pinned_draws () =
+  let draws n f = List.init n (fun _ -> f ()) in
+  let r = Rng.create 1234567 in
+  Alcotest.(check (list string)) "int64, SplitMix64 vectors"
+    [ "6457827717110365317"; "3203168211198807973"; "9817491932198370423";
+      "4593380528125082431"; "16408922859458223821" ]
+    (draws 5 (fun () -> Printf.sprintf "%Lu" (Rng.int64 r)));
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "int" [ 605; 291; 954; 860; 250 ]
+    (draws 5 (fun () -> Rng.int r 1000));
+  let r = Rng.create 42 in
+  Alcotest.(check (list string)) "float"
+    [ "0x1.7bae644c5fd6dp-1"; "0x1.477f199d93378p-3"; "0x1.1d499d5c4c3e6p-2" ]
+    (draws 3 (fun () -> Printf.sprintf "%h" (Rng.float r 1.0)));
+  let r = Rng.create 42 in
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; false; false; false; false; true; false ]
+    (draws 8 (fun () -> Rng.bool r));
+  let r = Rng.create 42 in
+  let child = Rng.split r in
+  Alcotest.(check (list int64)) "split child"
+    [ 0x57e1faba65107204L; 0xf4abd143feb24055L ]
+    (draws 2 (fun () -> Rng.int64 child));
+  Alcotest.(check int64) "split parent continues" 0x28efe333b266f103L (Rng.int64 r);
+  let st = Rng.stream ~root:42 3 in
+  Alcotest.(check (list int64)) "stream"
+    [ 0x5155125769ef480fL; 0xf751ab7a3bc9928bL ]
+    (draws 2 (fun () -> Rng.int64 st))
+
+(* A draw that ends in an int, float or bool allocates nothing. *)
+let test_rng_allocation_free () =
+  let r = Rng.create 1 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 7 + Bool.to_int (Rng.bool r)
+  done;
+  let per = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Alcotest.(check bool) "draws stay in range" true (!acc >= 0);
+  if per >= 0.05 then Alcotest.failf "%.3f minor words per int and bool draw" per
+
 let test_heap_order () =
   let h = Binheap.create () in
   List.iter (fun k -> Binheap.push h ~key:k (string_of_int k)) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
@@ -414,7 +459,9 @@ let suites =
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
         Alcotest.test_case "split decorrelated" `Quick test_rng_split_decorrelated;
         Alcotest.test_case "copy" `Quick test_rng_copy;
-        Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation ] );
+        Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+        Alcotest.test_case "pinned draws" `Quick test_rng_pinned_draws;
+        Alcotest.test_case "draws allocate nothing" `Quick test_rng_allocation_free ] );
     ( "prelude.binheap",
       [ Alcotest.test_case "order" `Quick test_heap_order;
         Alcotest.test_case "empty" `Quick test_heap_empty;
