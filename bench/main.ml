@@ -475,7 +475,14 @@ let fig20 () =
    Schema v8 adds the annealer's Phi at its start and at its best,
    [sa_initial_cost] and [sa_best_cost] (the placement span's gauges; null
    if the placement was a cache hit), so a baseline shows whether the
-   anneal improved on its initial packing. *)
+   anneal improved on its initial packing.
+
+   Schema v9 adds the content of the layouts: [placement_digest] (SHA-256
+   of the placement stage's cluster and placement artifact bytes) and
+   [routing_digest] (of the routing artifact bytes), and with --cache-dir
+   the same two prefixed [warm_], which `tqec_gate cache` requires equal to
+   the uncached ones. Equal volumes and valid layouts alone would let a
+   warm replay return a different layout. *)
 
 let validity_fields prefix (f : Flow.t) =
   let module Json = Tqec_obs.Json in
@@ -488,6 +495,14 @@ let validity_fields prefix (f : Flow.t) =
     (prefix ^ "oracle",
      Json.String (Option.value ~default:"ok" (Verify.first_error oracle))) ]
 
+let layout_digests prefix (f : Flow.t) =
+  let module Json = Tqec_obs.Json in
+  let module Codecs = Tqec_artifact.Codecs in
+  let digest json = Json.String (Tqec_prelude.Hash.sha256_hex (Json.to_string json)) in
+  [ (prefix ^ "placement_digest",
+     digest (Json.List [ Codecs.of_cluster f.Flow.cluster; Codecs.of_placement f.Flow.placement ]));
+    (prefix ^ "routing_digest", digest (Codecs.of_routing f.Flow.routing)) ]
+
 type cache_runs = {
   cold_misses : int;
   warm_hits : int;
@@ -497,11 +512,13 @@ type cache_runs = {
   reroute_hits : int;
   reroute_misses : int;
   validity : (string * Tqec_obs.Json.t) list;  (* cold_ and warm_ verdicts *)
+  warm_digests : (string * Tqec_obs.Json.t) list;
 }
 
 let no_cache_runs =
   { cold_misses = 0; warm_hits = 0; warm_misses = 0; volume_warm = 0;
-    t_warm_total = 0.0; reroute_hits = 0; reroute_misses = 0; validity = [] }
+    t_warm_total = 0.0; reroute_hits = 0; reroute_misses = 0; validity = [];
+    warm_digests = [] }
 
 (* Each run opens its own store on [dir], as a separate
    [tqec_compress --cache-dir] process would, so the warm and reroute runs
@@ -532,7 +549,8 @@ let cache_runs_of dir prep =
     t_warm_total = warm.Flow.breakdown.Flow.t_total;
     reroute_hits;
     reroute_misses;
-    validity = validity_fields "cold_" cold @ validity_fields "warm_" warm }
+    validity = validity_fields "cold_" cold @ validity_fields "warm_" warm;
+    warm_digests = layout_digests "warm_" warm }
 
 let json_mode () =
   let module Json = Tqec_obs.Json in
@@ -561,6 +579,7 @@ let json_mode () =
           ([ ("name", Json.String prep.spec.Benchmarks.name);
              ("volume", Json.Int f.Flow.volume) ]
            @ validity_fields "" f
+           @ layout_digests "" f
            @ [ ("t_bridging", Json.Float b.Flow.t_bridging);
                ("t_placement", Json.Float b.Flow.t_placement);
                ("t_routing", Json.Float b.Flow.t_routing);
@@ -583,13 +602,14 @@ let json_mode () =
                ("t_warm_total", Json.Float c.t_warm_total);
                ("reroute_cache_hits", Json.Int c.reroute_hits);
                ("reroute_cache_misses", Json.Int c.reroute_misses) ]
-           @ c.validity))
+           @ c.validity
+           @ c.warm_digests))
       (Lazy.force flow_preps)
   in
   print_endline
     (Json.to_string ~pretty:true
        (Json.Obj
-          [ ("schema_version", Json.Int 8);
+          [ ("schema_version", Json.Int 9);
             ("effort", Json.String (effort_name ()));
             ("seed", Json.Int seed);
             ("cache", Json.Bool (Option.is_some !cache_dir));

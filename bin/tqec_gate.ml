@@ -8,7 +8,8 @@
          rip-ups / passes bounded;
      tqec_gate cache FILE
          a `bench/main.exe --json --cache-dir DIR` run keeps
-         the stage-cache contract, with valid cold and warm layouts.
+         the stage-cache contract, with valid cold and warm layouts and
+         warm layouts equal to the uncached ones.
 
    Every gate prints one summary line on stdout and exits 0 when it holds;
    any violation, unreadable input or bad usage is reported on stderr and
@@ -213,7 +214,9 @@ let perf baseline_file current_file =
      - warm volume is bit-identical to the cold volume;
      - a routing-config-only change reuses the bridging and placement
        artifacts (2 hits) and recomputes exactly the routing stage (1 miss);
-     - the uncached, cold and warm layouts are all valid (schema v6).
+     - the uncached, cold and warm layouts are all valid (schema v6);
+     - the warm placement and routing equal the uncached ones by content:
+       the digests of their artifact bytes match (schema v9).
 
    `make cache` also fails if the cache directory holds a preprocess/
    entry after these runs. *)
@@ -236,6 +239,17 @@ let check_benchmark ~file failed (name, b) =
   List.iter
     (fun prefix -> check_valid ~file failed ~prefix (name, b))
     [ ""; "cold_"; "warm_" ];
+  List.iter
+    (fun key ->
+      match (Json.member key b, Json.member ("warm_" ^ key) b) with
+      | Some (Json.String uncached), Some (Json.String warm) ->
+          if not (String.equal uncached warm) then
+            violation failed "%s: warm_%s = %s differs from %s = %s" name key warm key
+              uncached
+      | _ ->
+          violation failed "%s: benchmark %s lacks string fields %s and warm_%s" file
+            name key key)
+    [ "placement_digest"; "routing_digest" ];
   Printf.printf
     "%-16s cold misses %d, warm hits %d, reroute hits/misses %d/%d, warm \
      volume %d %s\n"

@@ -37,10 +37,16 @@ val int_list : Tqec_obs.Json.t -> int list
 val int_array : Tqec_obs.Json.t -> int array
 val point3 : Tqec_obs.Json.t -> Tqec_geom.Point3.t
 val point3_array : Tqec_obs.Json.t -> Tqec_geom.Point3.t array
+(** Decodes the packed-coordinate string of {!of_point3_array}. *)
+
 val triple : Tqec_obs.Json.t -> int * int * int
 val cuboid : Tqec_obs.Json.t -> Tqec_geom.Cuboid.t
 val path : Tqec_obs.Json.t -> Tqec_geom.Point3.t list
-(** Decodes the flat [[x0;y0;z0;x1;...]] encoding of {!of_path}. *)
+(** Decodes the packed-coordinate string of {!of_path}: ["x0,y0,z0,x1,..."],
+    each coordinate an optional ['-'] and 1 to 9 digits, [""] for no points.
+    Any other string -- an empty field, a ['+'] or other stray byte, a
+    trailing comma, a field count that is not a multiple of 3 -- raises
+    {!Decode}. *)
 
 val bool_array : Tqec_obs.Json.t -> bool array
 (** Decodes the ['0']/['1'] string encoding of {!of_bool_array}. *)
@@ -51,11 +57,16 @@ val of_int_list : int list -> Tqec_obs.Json.t
 val of_int_array : int array -> Tqec_obs.Json.t
 val of_point3 : Tqec_geom.Point3.t -> Tqec_obs.Json.t
 val of_point3_array : Tqec_geom.Point3.t array -> Tqec_obs.Json.t
+(** Packed coordinates, as {!of_path}. *)
+
 val of_triple : int * int * int -> Tqec_obs.Json.t
 val of_cuboid : Tqec_geom.Cuboid.t -> Tqec_obs.Json.t
 val of_path : Tqec_geom.Point3.t list -> Tqec_obs.Json.t
-(** Flat coordinate list — three ints per point — to keep long routed paths
-    compact on disk. *)
+(** Packed coordinates: one JSON string of comma-separated decimal
+    coordinates, three per point. A routed path is most of a routing
+    artifact, and as one string it parses without a boxed [Int] and a cons
+    cell per coordinate. The single point of {!of_point3} stays a JSON
+    triple. *)
 
 val of_bool_array : bool array -> Tqec_obs.Json.t
 (** A string of ['0']/['1'] characters, one per element. *)

@@ -209,7 +209,9 @@ module Placement = struct
 
   let name = "placement"
 
-  let version = "1"
+  (* 2: module and cluster positions and module offsets stored as packed
+     coordinate strings (Codec.of_point3_array). *)
+  let version = "2"
 
   let key { primal_groups; max_group_size; config; modular; nets; pool = _ } =
     canon
@@ -250,10 +252,13 @@ module Routing = struct
 
   let name = "routing"
 
-  (* 4: splice repairs and the corridor clamp deleted, with the config's
-     two splice fields (3: negotiation-schedule overhaul; 2: search-kernel
-     rework). Cached routings of earlier versions are not reproducible. *)
-  let version = "4"
+  (* 5: routed paths stored as packed coordinate strings (Codec.of_path),
+     layouts unchanged; a version-4 entry is a miss, not a second format to
+     decode. 4: splice repairs and the corridor clamp deleted, with the
+     config's two splice fields (3: negotiation-schedule overhaul; 2:
+     search-kernel rework); routings cached before 4 are not
+     reproducible. *)
+  let version = "5"
 
   let key { config; placement; nets; pool = _ } =
     let cluster = placement.Place25d.cluster in

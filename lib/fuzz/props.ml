@@ -124,7 +124,7 @@ let bstar_arbitrary =
 let apply_op t = function
   | Swap (a, b) -> Bstar.swap_blocks t a b
   | Move (b, s) -> Bstar.move_block ~rng:(Rng.create s) t b
-  | Set_dims (b, d) -> Bstar.set_block_dims t b d
+  | Set_dims (b, (dx, dy)) -> Bstar.set_block_dims t b dx dy
   | Warm -> ignore (Bstar.pack t)
   | Copy -> ()
 

@@ -13,7 +13,8 @@ type t =
    single pass over a [Buffer] / the input string and allocate only the
    resulting tree or bytes: integer digits go straight into the buffer,
    strings are escaped only when they contain a byte that needs it, and the
-   parser reads integers and escape-free strings in place. Floats and
+   parser reads integers and escape-free strings in place, returning small
+   integers as shared, preallocated leaves. Floats and
    unusual number spellings take the slower, general paths; they are rare
    and their results must not change. *)
 
@@ -276,6 +277,20 @@ let parse_number_slow st start =
   then match float_of_string_opt text with Some f -> Float f | None -> invalid ()
   else match int_of_string_opt text with Some i -> Int i | None -> invalid ()
 
+(* Preallocated leaves for the small ints that make up most of a stage
+   artifact (ids, pins, dims, tiers): the parser returns the shared [Int i]
+   for [0 <= i < 1024] instead of boxing a new one, so a parsed tree that
+   stays live does not promote a box per number. A [t] is immutable, so
+   sharing is invisible to every reader. The range is measured: it covers
+   99.7-100% of the ints in the bridging, placement and routing entries of
+   a 128-circuit ladder (none is negative once coordinates are packed into
+   strings, and 0 .. 255 covers only 87% of bridging's and routing's);
+   EXPERIMENTS.md has the numbers. *)
+let small_ints = Array.init 1024 (fun i -> Int i)
+
+let int_leaf i =
+  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i else Int i
+
 (* An optional '-' and 1 to 18 digits, not followed by another number
    character, always fits an [int] and reads the same as through
    [int_of_string]; accumulate it in place. Anything else (a '+', '.', 'e',
@@ -297,7 +312,7 @@ let parse_number st =
      && not (!i < n && is_num_char (String.unsafe_get s !i))
   then begin
     st.pos <- !i;
-    Int (if neg then - !v else !v)
+    int_leaf (if neg then - !v else !v)
   end
   else parse_number_slow st start
 

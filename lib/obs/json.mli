@@ -18,6 +18,9 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** Render. [pretty] indents with two spaces per level (default false). *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal digits of an int, as {!to_string} renders [Int]. *)
+
 val of_string : string -> (t, string) Stdlib.result
 (** Parse a complete JSON document; trailing garbage is an error. Numbers
     without [.], [e] or [E] parse as [Int], everything else as [Float]. *)

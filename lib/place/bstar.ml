@@ -113,7 +113,7 @@ let equal a b =
 
 let block_dims t b = (t.dx.(b), t.dy.(b))
 
-let set_block_dims t b (dx, dy) =
+let set_block_dims t b dx dy =
   if t.dx.(b) <> dx || t.dy.(b) <> dy then begin
     t.dx.(b) <- dx;
     t.dy.(b) <- dy;

@@ -54,10 +54,10 @@ val equal : t -> t -> bool
 
 val block_dims : t -> int -> int * int
 
-val set_block_dims : t -> int -> int * int -> unit
-(** Resize a block (used to equalize time-dependent super-modules in a TSL
-    before annealing, and by inter-tier swaps). Resizing to the current
-    footprint keeps the packing valid. *)
+val set_block_dims : t -> int -> int -> int -> unit
+(** [set_block_dims t b dx dy] resizes block [b] to [dx] by [dy] (used by
+    inter-tier swaps; two ints rather than a pair, so a move allocates no
+    tuple). Resizing to the current footprint keeps the packing valid. *)
 
 type packing = private {
   xs : int array;              (** block id -> x origin *)

@@ -406,8 +406,10 @@ let perturb_state ctx rng e =
         let c1 = s.slot_cluster.(t1).(i1) and c2 = s.slot_cluster.(t2).(i2) in
         set_slot e c2 t1 i1;
         set_slot e c1 t2 i2;
-        Bstar.set_block_dims tree1 i1 (cluster_dxdy ctx.cl.Cluster.clusters.(c2));
-        Bstar.set_block_dims tree2 i2 (cluster_dxdy ctx.cl.Cluster.clusters.(c1))
+        let d2, w2, _ = ctx.cl.Cluster.clusters.(c2).Cluster.cdims
+        and d1, w1, _ = ctx.cl.Cluster.clusters.(c1).Cluster.cdims in
+        Bstar.set_block_dims tree1 i1 d2 w2;
+        Bstar.set_block_dims tree2 i2 d1 w1
       end
 
 (* Branch-free helpers for the re-measure path, whose outcomes are data

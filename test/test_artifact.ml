@@ -125,6 +125,70 @@ let test_circuit_roundtrip () =
     (Json.to_string (Codecs.of_circuit c'))
 
 (* ------------------------------------------------------------------ *)
+(* Packed coordinates                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let point = Alcotest.testable Tqec_geom.Point3.pp Tqec_geom.Point3.equal
+
+(* A path and a point array survive encode, render, parse and decode, and
+   the rendered form is the packed string. *)
+let test_packed_roundtrip () =
+  let p = Tqec_geom.Point3.make in
+  let through_bytes json =
+    match Json.of_string (Json.to_string json) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (label, pts, packed) ->
+      Alcotest.(check string) (label ^ ": packed string")
+        (Json.to_string (Json.String packed))
+        (Json.to_string (Codec.of_path pts));
+      Alcotest.(check (list point)) (label ^ ": path") pts
+        (Codec.path (through_bytes (Codec.of_path pts)));
+      Alcotest.(check (array point)) (label ^ ": point array") (Array.of_list pts)
+        (Codec.point3_array (through_bytes (Codec.of_point3_array (Array.of_list pts)))))
+    [ ("empty path", [], "");
+      ("single cell", [ p 0 0 0 ], "0,0,0");
+      ("negative", [ p (-1) (-20) (-300) ], "-1,-20,-300");
+      ( "mixed, multi-digit",
+        [ p 12 (-7) 0; p 0 345 (-6789); p 999_999_999 (-999_999_999) 10 ],
+        "12,-7,0,0,345,-6789,999999999,-999999999,10" ) ]
+
+(* A malformed packed string raises Codec.Decode, and nothing else, from
+   both decoders. *)
+let test_packed_rejects () =
+  let decoders =
+    [ ("path", fun j -> ignore (Codec.path j));
+      ("point3_array", fun j -> ignore (Codec.point3_array j)) ]
+  in
+  List.iter
+    (fun (label, json) ->
+      List.iter
+        (fun (name, decode) ->
+          match decode json with
+          | () -> Alcotest.failf "%s: %s accepted %s" name label (Json.to_string json)
+          | exception Codec.Decode _ -> ()
+          | exception e ->
+              Alcotest.failf "%s: %s raised %s" name label (Printexc.to_string e))
+        decoders)
+    [ ("trailing comma", Json.String "1,2,3,");
+      ("leading comma", Json.String ",1,2,3");
+      ("two coordinates", Json.String "1,2");
+      ("four coordinates", Json.String "1,2,3,4");
+      ("plus sign", Json.String "+1,2,3");
+      ("letters", Json.String "1,a,3");
+      ("hex", Json.String "0x1,2,3");
+      ("empty field", Json.String "1,,3");
+      ("lone minus", Json.String "1,-,3");
+      ("double minus", Json.String "--1,2,3");
+      ("space", Json.String "1, 2,3");
+      ("ten digits", Json.String "1234567890,2,3");
+      ("just a comma", Json.String ",");
+      ("a JSON list", Json.List [ Json.Int 1; Json.Int 2; Json.Int 3 ]);
+      ("an int", Json.Int 0) ]
+
+(* ------------------------------------------------------------------ *)
 (* Cached flow driver                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -220,7 +284,14 @@ let test_cache_key_properties () =
    writes that entry. The bridging, placement and routing keys changed once
    more, on purpose, when they began to name the modular description by
    its ICM and the preprocess version instead of its own JSON; the
-   preprocess key and all four stored-bytes digests did not. *)
+   preprocess key and all four stored-bytes digests did not. The placement
+   and routing keys and stored bytes changed once more, on purpose, when
+   points and routed paths became packed coordinate strings and the two
+   stage versions were bumped (placement 2, routing 5): the routing key
+   embeds the cluster and placement JSON, so it moved with them. The
+   layouts did not move (the digests in test_place and test_route, taken
+   in a fixed rendering, are unchanged), and neither did the preprocess and
+   bridging keys and bytes. *)
 let pinned_keys =
   [ ( "preprocess",
       "f1e02623e7cf2fbd1fac599287adfed2a969a2fd734dd33f62e00e2f6ba78451",
@@ -229,11 +300,11 @@ let pinned_keys =
       "27764955294c8ad2782ad8f95f5c986f0ba6e9d74bc67e4c9722def38d2fc01f",
       "a8c876f26fb04ffaf4ee53afbab3d086cffe404dde44a1e69ad33ca6d02869a7" );
     ( "placement",
-      "92e04424da849f28e9148d0a0dd493fa19ac7f737b968eb6e85dd8d7b6f25526",
-      "f38107bf236dfe7e86f398790795d9dadd13bf50f60fdab6dc0a5f48e33938be" );
+      "7e7f3415e7d94465761137a4fd4c28bf9f321457d608c20efc9ac23a53f0bfc5",
+      "9554a61f8a4deb24e415945c3add89f53f3cd9b3fc41465f37a6091df7c7aa0b" );
     ( "routing",
-      "ea304f71706baf651bc7139861a0e4e0b10ac6c10efdca231f55936226885c58",
-      "2e044c1fb5830759b6c1a9b703f3ccf858e045dd6e3818a5b0bf1b048e52ec31" ) ]
+      "e81b0db87445e7b0eaa11c2c033065b1a12b95c316deacd11e9c224e4a72021b",
+      "5442f4fc30dfd84d31cb06f6d76571e78b5dba97ff3bbad3b18dad383b2dec65" ) ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -493,6 +564,124 @@ let test_hostile_entry_is_a_miss () =
           ("malformed flip", malformed_flip ()) ])
     cached_stages
 
+(* The one entry [stage] has in [dir]. *)
+let only_entry dir stage =
+  match Sys.readdir (Filename.concat dir stage) with
+  | [| file |] -> read_file (Filename.concat (Filename.concat dir stage) file)
+  | files -> Alcotest.failf "%s: %d entries, expected 1" stage (Array.length files)
+
+(* Every single-byte flip of the placement and routing entries (each byte
+   replaced in turn by each of the 255 other values) that still parses
+   must decode or raise Codec.Decode. Any other exception would escape
+   Flow.run's handler and fail the job instead of making the entry a
+   miss. *)
+let test_hostile_flips_decode () =
+  let dir = temp_dir () in
+  let o = fast_options in
+  let f = Flow.run ~options:o ~cache:(Store.create ~dir ()) (fig4_circuit ()) in
+  let placement_input =
+    { Flow.Placement.primal_groups = o.Flow.primal_groups;
+      max_group_size = o.Flow.max_group_size;
+      config = o.Flow.place;
+      modular = f.Flow.modular;
+      nets = f.Flow.nets;
+      pool = None }
+  in
+  let routing_input =
+    { Flow.Routing.config = o.Flow.route;
+      placement = f.Flow.placement;
+      nets = f.Flow.nets;
+      pool = None }
+  in
+  List.iter
+    (fun (stage, decode) ->
+      let bytes = only_entry dir stage in
+      let parsed = ref 0 and decoded = ref 0 in
+      String.iteri
+        (fun i original ->
+          for code = 0 to 255 do
+            let r = Char.chr code in
+            if not (Char.equal r original) then begin
+              let b = Bytes.of_string bytes in
+              Bytes.set b i r;
+              match Json.of_string (Bytes.to_string b) with
+              | Error _ -> ()
+              | Ok json -> (
+                  incr parsed;
+                  match decode json with
+                  | () -> incr decoded
+                  | exception Codec.Decode _ -> ()
+                  | exception e ->
+                      Alcotest.failf "%s: byte %d set to %C raised %s" stage i r
+                        (Printexc.to_string e))
+            end
+          done)
+        bytes;
+      (* The sweep reached the decoders both ways. *)
+      Alcotest.(check bool) (stage ^ ": some flips parse") true (!parsed > 0);
+      Alcotest.(check bool) (stage ^ ": some parsed flips are rejected") true
+        (!decoded < !parsed))
+    [ ("placement", fun j -> ignore (Flow.Placement.decode placement_input j));
+      ("routing", fun j -> ignore (Flow.Routing.decode routing_input j)) ]
+
+(* Ladder circuits as the batch workloads make them: one Toffoli and a few
+   CNOTs on 3 to 6 qubits. *)
+let ladder_circuit ~qubits ~cnots ~seed =
+  let template = List.hd Benchmarks.all in
+  Benchmarks.generate ~seed
+    { template with
+      Benchmarks.name = Printf.sprintf "q%dt1c%d" qubits cnots;
+      qubits;
+      toffolis = 1;
+      cnots }
+
+(* Cold runs fill an on-disk store; warm runs, each on a fresh store over
+   the same directory, read every artifact back from its bytes. Each warm
+   run hits all three cached stages, validates, and routes every net along
+   the cold run's path. The layouts route through the halo around the
+   placement, so some routed cell has a negative coordinate: the packed
+   format carries signs. *)
+let test_warm_from_disk_ladder () =
+  let dir = temp_dir () in
+  let options = Flow.scale_options ~sa_iterations:1500 Flow.default_options in
+  let circuits =
+    List.map
+      (fun (qubits, cnots, seed) -> ladder_circuit ~qubits ~cnots ~seed)
+      [ (3, 0, 1000); (4, 3, 1001); (5, 5, 1002); (6, 7, 1003) ]
+  in
+  let colds =
+    List.map (fun c -> Flow.run ~options ~cache:(Store.create ~dir ()) c) circuits
+  in
+  let negative = ref 0 in
+  List.iter2
+    (fun c cold ->
+      let name = c.Circuit.name in
+      check_stats (name ^ ": cold") (0, 3, 3) cold;
+      let warm = Flow.run ~options ~cache:(Store.create ~dir ()) c in
+      check_stats (name ^ ": warm") (3, 0, 0) warm;
+      (match Flow.validate warm with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "%s: warm layout invalid: %s" name e);
+      let paths (f : Flow.t) =
+        List.map
+          (fun (r : Tqec_route.Router.routed_net) ->
+            (r.Tqec_route.Router.net.Tqec_bridge.Bridge.net_id, r.Tqec_route.Router.path))
+          f.Flow.routing.Tqec_route.Router.routed
+      in
+      Alcotest.(check (list (pair int (list point)))) (name ^ ": cold paths")
+        (paths cold) (paths warm);
+      List.iter
+        (fun (_, path) ->
+          List.iter
+            (fun (p : Tqec_geom.Point3.t) ->
+              if p.Tqec_geom.Point3.x < 0 || p.Tqec_geom.Point3.y < 0
+                 || p.Tqec_geom.Point3.z < 0
+              then incr negative)
+            path)
+        (paths warm))
+    circuits colds;
+  Alcotest.(check bool) "some routed cell has a negative coordinate" true (!negative > 0)
+
 let test_metrics_cache_block () =
   let store = Store.create () in
   let c = fig4_circuit () in
@@ -557,6 +746,10 @@ let suites =
           test_codec_rejects_wrong_shape;
         Alcotest.test_case "codec: circuit round-trip" `Quick
           test_circuit_roundtrip;
+        Alcotest.test_case "codec: packed coordinates round-trip" `Quick
+          test_packed_roundtrip;
+        Alcotest.test_case "codec: malformed packed coordinates" `Quick
+          test_packed_rejects;
         Alcotest.test_case "flow: cold/warm bit identity" `Quick
           test_cold_warm_bit_identity;
         Alcotest.test_case "flow: routing-config invalidation" `Quick
@@ -579,6 +772,10 @@ let suites =
           test_hostile_bytes_never_raise;
         Alcotest.test_case "hostile: corrupt entry is a miss" `Quick
           test_hostile_entry_is_a_miss;
+        Alcotest.test_case "hostile: flipped entries decode or raise Decode" `Quick
+          test_hostile_flips_decode;
+        Alcotest.test_case "flow: warm from disk, ladder" `Quick
+          test_warm_from_disk_ladder;
         Alcotest.test_case "metrics: cache block" `Quick test_metrics_cache_block;
         Alcotest.test_case "validate: stage prefixes" `Quick
           test_validate_stage_prefix ] ) ]

@@ -17,7 +17,7 @@ let test_bstar_resize_affects_packing () =
      old area before the resize. *)
   let before = Tqec_place.Bstar.pack ~spacing:0 t in
   let area_before = before.Tqec_place.Bstar.span_x * before.Tqec_place.Bstar.span_y in
-  Tqec_place.Bstar.set_block_dims t 0 (6, 6);
+  Tqec_place.Bstar.set_block_dims t 0 6 6;
   let after = Tqec_place.Bstar.pack ~spacing:0 t in
   Alcotest.(check bool) "span grows after resize" true
     (after.Tqec_place.Bstar.span_x * after.Tqec_place.Bstar.span_y > area_before);

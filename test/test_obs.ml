@@ -289,6 +289,23 @@ let test_json_edge_inputs () =
       ("tru", "Error at offset 0: invalid literal (expected true)");
       ("[1,2,]", {|Error at offset 5: invalid number ""|}) ]
 
+(* Ints in 0 .. 1023 parse to shared leaves; the values at and around the
+   range's ends are the same as ever, and "-0" and "007" reach the shared
+   leaves of 0 and 7. *)
+let test_json_shared_small_ints () =
+  let ints input =
+    match Json.of_string input with
+    | Ok (Json.List l) -> l
+    | _ -> Alcotest.failf "%s does not parse to a list" input
+  in
+  let a = ints "[-1,0,1,1023,1024,-0,007]" and b = ints "[-1,0,1,1023,1024,0,7]" in
+  Alcotest.(check string) "values" "[-1,0,1,1023,1024,0,7]" (Json.to_string (Json.List a));
+  List.iteri
+    (fun k (x, y) ->
+      let shared = k >= 1 && k <> 4 in
+      Alcotest.(check bool) (Printf.sprintf "element %d shared" k) shared (x == y))
+    (List.combine a b)
+
 (* Rendered bytes pinned from the original printer, compact and pretty:
    integer extremes, escapes, raw UTF-8, floats and empty containers. *)
 let test_json_rendered_bytes () =
@@ -415,6 +432,7 @@ let suites =
         Alcotest.test_case "exponent floats" `Quick test_json_exponent_floats;
         Alcotest.test_case "trailing garbage" `Quick test_json_trailing_garbage;
         Alcotest.test_case "edge inputs pinned" `Quick test_json_edge_inputs;
+        Alcotest.test_case "shared small ints" `Quick test_json_shared_small_ints;
         Alcotest.test_case "rendered bytes pinned" `Quick test_json_rendered_bytes;
         Alcotest.test_case "round-trip property" `Quick test_json_round_trip_property;
         Alcotest.test_case "trace json" `Quick test_trace_json_round_trips ] ) ]

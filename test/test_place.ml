@@ -126,9 +126,9 @@ let test_bstar_cache_equal_dims_swap () =
 let test_bstar_cache_invalidation () =
   let t = blocks_of [ (3, 2); (2, 5); (4, 4) ] in
   ignore (Bstar.pack t);
-  Bstar.set_block_dims t 1 (2, 5);
+  Bstar.set_block_dims t 1 2 5;
   check_coherent "no-op resize keeps a valid cache" t;
-  Bstar.set_block_dims t 1 (5, 2);
+  Bstar.set_block_dims t 1 5 2;
   check_coherent "real resize invalidates" t;
   let rng = Rng.create 11 in
   Bstar.move_block ~rng t 2;
@@ -276,8 +276,9 @@ let test_place_single_cluster () =
 (* Bit-identity pin on one generated 4gt10-v1_81 instance (10 tiers, 4
    TSL groups: inter-tier swaps and TSL reallocation both happen), at the
    default SA budget and at ten times it. The numbers and the digest of the
-   placement artifact are the annealer's observable behaviour; a speed-up
-   of the move loop must leave them unchanged. *)
+   placement (in Layout_json's fixed rendering, not the cache codec's) are
+   the annealer's observable behaviour; a speed-up of the move loop must
+   leave them unchanged. *)
 let test_place_pinned_4gt10 () =
   let module Flow = Tqec_core.Flow in
   let module Trace = Tqec_obs.Trace in
@@ -310,8 +311,7 @@ let test_place_pinned_4gt10 () =
       Alcotest.(check int) (at "sa_accepted") accepted p.Place25d.sa_accepted;
       Alcotest.(check int) (at "sa_improved") improved p.Place25d.sa_improved;
       Alcotest.(check string) (at "placement sha256") digest
-        (Tqec_prelude.Hash.sha256_hex
-           (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_placement p)));
+        (Layout_json.digest (Layout_json.placement p));
       (* The trace says whether the anneal improved on its start. *)
       let gauges = Trace.gauges trace in
       Alcotest.(check (list string)) (at "SA gauges")
@@ -381,11 +381,11 @@ let test_move_remeasures_every_net () =
 
 (* Minor words a move allocates, over the moves of a longer anneal of the
    pinned 4gt10-v1_81 instance: the difference between 4000 and 2000 moves
-   cancels the set-up and the final placement. It measures 11.56 words.
-   The RNG draws, re-pack, re-measure and undo allocate nothing; what is
-   left is the (d, w) pair an inter-tier swap hands to
-   [Bstar.set_block_dims], the cost's (d, w, h) tuple and boxed float
-   result, and [Sa.run]'s boxed acceptance draw. *)
+   cancels the set-up and the final placement. It measures 9.76 words
+   (11.56 while an inter-tier swap handed [Bstar.set_block_dims] a (d, w)
+   pair). The RNG draws, re-pack, re-measure, undo and block resize
+   allocate nothing; what is left is the cost's (d, w, h) tuple and boxed
+   float result and [Sa.run]'s boxed acceptance draw. *)
 let test_place_words_per_move () =
   let module Flow = Tqec_core.Flow in
   let noop = Tqec_obs.Trace.noop in
@@ -407,7 +407,7 @@ let test_place_words_per_move () =
     Gc.minor_words () -. w0
   in
   let per = (words 4000 -. words 2000) /. 2000.0 in
-  if per > 12.0 then Alcotest.failf "%.2f minor words per SA move" per
+  if per > 10.0 then Alcotest.failf "%.2f minor words per SA move" per
 
 let prop_place_valid_on_random_circuits =
   QCheck.Test.make ~name:"placement invariants on random circuits" ~count:10

@@ -563,8 +563,8 @@ let pinned_4gt10 =
      (options, modular, bridging, nets, placement))
 
 (* The routing of the pinned instance, pinned bit for bit. A change to the
-   search kernels or their scratch must leave the routed layout, its
-   artifact bytes and the search work unchanged, and the layout must route
+   search kernels or their scratch must leave the routed layout, its bytes
+   in Layout_json's fixed rendering and the search work unchanged, and the layout must route
    every net and pass the independent geometry oracle. Both kernels produce
    the same layout, bytes and search counts. Routing is sequential, so the
    pool passed to [Router.route] changes nothing: every count is pinned for
@@ -602,8 +602,7 @@ let test_route_pinned_4gt10 ~domains kernel () =
   Alcotest.(check int) "bidir_searches" 217 (Trace.counter trace "bidir_searches");
   Alcotest.(check string) "routing sha256"
     "050d1459ae71cb58a36ce43c712a806cd9cdd2d6416e3e9694a45676c984e1ec"
-    (Tqec_prelude.Hash.sha256_hex
-       (Tqec_obs.Json.to_string (Tqec_artifact.Codecs.of_routing r)))
+    (Layout_json.digest (Layout_json.routing r))
 
 (* Every failed net is counted under exactly one reason: parked by the
    give-up rule, or still pending when the pass cap hit. One pass leaves the
