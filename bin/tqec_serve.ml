@@ -224,8 +224,10 @@ let manifest =
 let cache_dir =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
          ~doc:"Persistent stage-artifact cache shared by all jobs (and by
-               later tqec_serve / tqec_compress runs). Without it the jobs
-               still share an in-memory cache for this invocation.")
+               later tqec_serve / tqec_compress runs). It lives on disk
+               alone: a reused artifact is read back from its file, and no
+               artifact is kept in memory. Without it the jobs still share
+               an in-memory cache for this invocation.")
 
 let out =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"

@@ -24,7 +24,7 @@ let of_icm icm =
   let rail wire_id z =
     { defect = Primal;
       cuboid = Cuboid.of_origin_size (Point3.make 0 wire_id z) ~w:1 ~h:1 ~d;
-      label = Printf.sprintf "wire %d rail z=%d" wire_id z }
+      label = "wire " ^ string_of_int wire_id ^ " rail z=" ^ string_of_int z }
   in
   let rails =
     List.concat_map
@@ -36,7 +36,8 @@ let of_icm icm =
     let y_lo = Int.min c.Icm.control c.Icm.target in
     let y_hi = Int.max c.Icm.control c.Icm.target in
     let span = y_hi - y_lo + 1 in
-    let label s = Printf.sprintf "cnot %d loop %s" c.Icm.cnot_id s in
+    let prefix = "cnot " ^ string_of_int c.Icm.cnot_id ^ " loop " in
+    let label s = prefix ^ s in
     (* A rectangular dual ring in the y–z plane at time x, enclosing the
        control rail and passing between the target's rails. *)
     [ { defect = Dual;

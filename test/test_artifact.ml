@@ -1,4 +1,4 @@
-(* The content-addressed artifact graph: store semantics (memory + disk),
+(* The content-addressed artifact graph: store semantics (memory or disk),
    codec strictness, and the cached flow driver's contract — warm runs
    bit-identical to cold ones, per-stage invalidation, corrupt-entry
    recovery, and a preprocess stage that is computed and never cached. *)
@@ -64,23 +64,53 @@ let test_store_memory () =
 
 let test_store_disk_persistence () =
   let dir = temp_dir () in
+  let entry = Json.Obj [ ("x", Json.Int 7) ] in
   let s1 = Store.create ~dir () in
-  Store.store s1 ~stage:"preprocess" ~key:"deadbeef"
-    (Json.Obj [ ("x", Json.Int 7) ]);
+  Store.store s1 ~stage:"preprocess" ~key:"deadbeef" entry;
+  (* A disk store keeps no heap copy of what it writes or reads. *)
+  Alcotest.(check int) "nothing held after store" 0 (Store.entries s1);
   (* A second store on the same directory starts warm. *)
   let s2 = Store.create ~dir () in
-  Alcotest.(check int) "fresh memory" 0 (Store.entries s2);
   (match Store.find s2 ~stage:"preprocess" ~key:"deadbeef" with
    | Some j ->
-       Alcotest.(check string) "reloaded"
-         (Json.to_string (Json.Obj [ ("x", Json.Int 7) ]))
-         (Json.to_string j)
+       Alcotest.(check string) "reloaded" (Json.to_string entry) (Json.to_string j)
    | None -> Alcotest.fail "disk entry not found");
-  Alcotest.(check int) "promoted to memory" 1 (Store.entries s2);
+  Alcotest.(check int) "nothing held after find" 0 (Store.entries s2);
+  (* Every find reads the file: deleting it behind the store's back makes
+     the next find a miss. *)
+  Sys.remove (Filename.concat (Filename.concat dir "preprocess") "deadbeef.json");
+  Alcotest.(check bool) "deleted file is a miss" true
+    (Store.find s2 ~stage:"preprocess" ~key:"deadbeef" = None);
+  Store.store s2 ~stage:"preprocess" ~key:"deadbeef" entry;
   Store.remove s2 ~stage:"preprocess" ~key:"deadbeef";
   let s3 = Store.create ~dir () in
   Alcotest.(check bool) "removed from disk" true
     (Store.find s3 ~stage:"preprocess" ~key:"deadbeef" = None)
+
+(* A write that fails at flush time (the temp file is a symlink to
+   /dev/full, so the write raises ENOSPC) must close its channel, remove
+   the temp file and leave a miss, store after store. *)
+let test_store_failed_write () =
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ();
+  let dir = temp_dir () in
+  let s = Store.create ~dir () in
+  let stage_dir = Filename.concat dir "routing" in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir stage_dir 0o755;
+  let tmp = Filename.concat stage_dir "cafe.json.tmp" in
+  let exists path = match Unix.lstat path with _ -> true | exception Unix.Unix_error _ -> false in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 50 do
+    Unix.symlink "/dev/full" tmp;
+    Store.store s ~stage:"routing" ~key:"cafe" (Json.Int 3);
+    Alcotest.(check bool) "no temp file left" false (exists tmp)
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ());
+  Alcotest.(check (array string)) "nothing written" [||] (Sys.readdir stage_dir);
+  Alcotest.(check bool) "failed store reads as a miss" true
+    (Store.find s ~stage:"routing" ~key:"cafe" = None)
 
 let test_store_unparseable_entry () =
   let dir = temp_dir () in
@@ -92,6 +122,15 @@ let test_store_unparseable_entry () =
   close_out oc;
   let s2 = Store.create ~dir () in
   Alcotest.(check bool) "unparseable reads as miss" true
+    (Store.find s2 ~stage:"routing" ~key:"cafe" = None);
+  (* A directory opens but cannot be read: still a miss, not an exception;
+     and a write over it fails quietly. *)
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  Alcotest.(check bool) "unreadable reads as miss" true
+    (Store.find s2 ~stage:"routing" ~key:"cafe" = None);
+  Store.store s2 ~stage:"routing" ~key:"cafe" (Json.Int 3);
+  Alcotest.(check bool) "write over it is a no-op" true
     (Store.find s2 ~stage:"routing" ~key:"cafe" = None)
 
 (* ------------------------------------------------------------------ *)
@@ -208,6 +247,21 @@ let test_cold_warm_bit_identity () =
   check_stats "uncached run has no counters" (0, 0, 0) plain;
   Alcotest.(check string) "identical to uncached" (flow_fingerprint plain)
     (flow_fingerprint warm)
+
+(* One disk store shared by a cold and a warm run, as tqec_serve shares it
+   across jobs: the warm run hits every cached stage on disk, validates,
+   and the store holds nothing in memory afterwards. *)
+let test_shared_disk_store () =
+  let store = Store.create ~dir:(temp_dir ()) () in
+  let c = fig4_circuit () in
+  let cold = Flow.run ~options:fast_options ~cache:store c in
+  check_stats "cold misses the three cached stages" (0, 3, 3) cold;
+  let warm = Flow.run ~options:fast_options ~cache:store c in
+  check_stats "warm hits the three cached stages" (3, 0, 0) warm;
+  (match Flow.validate warm with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "bit-identical artifacts" (flow_fingerprint cold)
+    (flow_fingerprint warm);
+  Alcotest.(check int) "nothing held in memory" 0 (Store.entries store)
 
 let test_routing_config_invalidation () =
   let store = Store.create () in
@@ -742,6 +796,8 @@ let suites =
           test_store_disk_persistence;
         Alcotest.test_case "store: unparseable entry" `Quick
           test_store_unparseable_entry;
+        Alcotest.test_case "store: failed write leaks nothing" `Quick
+          test_store_failed_write;
         Alcotest.test_case "codec: wrong shapes rejected" `Quick
           test_codec_rejects_wrong_shape;
         Alcotest.test_case "codec: circuit round-trip" `Quick
@@ -752,6 +808,7 @@ let suites =
           test_packed_rejects;
         Alcotest.test_case "flow: cold/warm bit identity" `Quick
           test_cold_warm_bit_identity;
+        Alcotest.test_case "flow: shared disk store" `Quick test_shared_disk_store;
         Alcotest.test_case "flow: routing-config invalidation" `Quick
           test_routing_config_invalidation;
         Alcotest.test_case "flow: placement-config invalidation" `Quick
